@@ -150,6 +150,22 @@ void BM_AesCtr(benchmark::State& state) {
 }
 BENCHMARK(BM_AesCtr);
 
+// One 16-byte Generate() per iteration: the per-key pattern of
+// Rc4KeyGenerator::NextKey, where single-block latency rather than the
+// pipelined bulk rate of BM_AesCtr sets the cost.
+void BM_AesCtrKeys(benchmark::State& state) {
+  Aes128Ctr ctr(RandomBytes(16, 3));
+  Bytes key(16);
+  for (auto _ : state) {
+    ctr.Generate(key);
+    benchmark::DoNotOptimize(key.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_AesCtrKeys);
+
 void BM_Sha1(benchmark::State& state) {
   const Bytes data = RandomBytes(512, 4);
   for (auto _ : state) {

@@ -1,6 +1,12 @@
 #include "src/crypto/aes128.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace rc4b {
 
@@ -138,20 +144,118 @@ void Aes128::EncryptBlock(const uint8_t in[kBlockSize], uint8_t out[kBlockSize])
   std::memcpy(out, state, 16);
 }
 
-void Aes128Ctr::Generate(std::span<uint8_t> out) {
-  size_t i = 0;
-  while (i < out.size()) {
-    if (buffered_ == 0) {
-      uint8_t counter_block[Aes128::kBlockSize] = {};
-      StoreBe64(counter_, counter_block + 8);
-      aes_.EncryptBlock(counter_block, buffer_.data());
-      ++counter_;
-      buffered_ = Aes128::kBlockSize;
+std::array<uint8_t, (Aes128::kRounds + 1) * Aes128::kBlockSize>
+Aes128::RoundKeyBytes() const {
+  std::array<uint8_t, (kRounds + 1) * kBlockSize> bytes;
+  for (size_t i = 0; i < round_keys_.size(); ++i) {
+    StoreBe32(round_keys_[i], bytes.data() + 4 * i);
+  }
+  return bytes;
+}
+
+namespace {
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// Blocks in flight per round: AESENC has a latency of several cycles but a
+// throughput of one or two per cycle, so independent blocks fill the gap.
+constexpr size_t kAesNiLanes = 8;
+
+// Compiled for AES-NI through the function attribute alone, so this file
+// needs no ISA flag; only called after the CPU check in CpuHasAesNi().
+__attribute__((target("sse2,aes"))) inline __m128i CounterBlock(uint64_t counter) {
+  return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(counter)), 0);
+}
+
+__attribute__((target("sse2,aes"))) void EncryptCounterBlocksAesNi(
+    const uint8_t* round_key_bytes, uint64_t counter, uint8_t* out, size_t blocks) {
+  __m128i rk[Aes128::kRounds + 1];
+  for (size_t r = 0; r <= Aes128::kRounds; ++r) {
+    rk[r] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(round_key_bytes + r * Aes128::kBlockSize));
+  }
+  size_t b = 0;
+  for (; b + kAesNiLanes <= blocks; b += kAesNiLanes) {
+    __m128i s[kAesNiLanes];
+    for (size_t j = 0; j < kAesNiLanes; ++j) {
+      s[j] = _mm_xor_si128(CounterBlock(counter + b + j), rk[0]);
     }
-    const size_t take = std::min(out.size() - i, buffered_);
-    std::memcpy(out.data() + i, buffer_.data() + (Aes128::kBlockSize - buffered_), take);
-    buffered_ -= take;
-    i += take;
+    for (size_t r = 1; r < Aes128::kRounds; ++r) {
+      for (size_t j = 0; j < kAesNiLanes; ++j) {
+        s[j] = _mm_aesenc_si128(s[j], rk[r]);
+      }
+    }
+    for (size_t j = 0; j < kAesNiLanes; ++j) {
+      s[j] = _mm_aesenclast_si128(s[j], rk[Aes128::kRounds]);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + (b + j) * Aes128::kBlockSize),
+                       s[j]);
+    }
+  }
+  for (; b < blocks; ++b) {
+    __m128i s = _mm_xor_si128(CounterBlock(counter + b), rk[0]);
+    for (size_t r = 1; r < Aes128::kRounds; ++r) {
+      s = _mm_aesenc_si128(s, rk[r]);
+    }
+    s = _mm_aesenclast_si128(s, rk[Aes128::kRounds]);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + b * Aes128::kBlockSize), s);
+  }
+}
+
+bool CpuHasAesNi() {
+  static const bool has = __builtin_cpu_supports("aes") != 0;
+  return has;
+}
+
+#else
+
+bool CpuHasAesNi() { return false; }
+
+#endif
+
+}  // namespace
+
+Aes128Ctr::Aes128Ctr(std::span<const uint8_t> key)
+    : aes_(key), round_key_bytes_(aes_.RoundKeyBytes()) {}
+
+bool Aes128Ctr::HardwareAccelerated() { return CpuHasAesNi(); }
+
+void Aes128Ctr::EncryptBlocks(uint8_t* out, size_t blocks) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (CpuHasAesNi()) {
+    EncryptCounterBlocksAesNi(round_key_bytes_.data(), counter_, out, blocks);
+    counter_ += blocks;
+    return;
+  }
+#endif
+  for (size_t b = 0; b < blocks; ++b) {
+    uint8_t counter_block[Aes128::kBlockSize] = {};
+    StoreBe64(counter_++, counter_block + 8);
+    aes_.EncryptBlock(counter_block, out + b * Aes128::kBlockSize);
+  }
+}
+
+// Drains the buffered tail of the previous block, writes whole blocks
+// straight into `out`, and buffers one more block only for a partial tail.
+void Aes128Ctr::Generate(std::span<uint8_t> out) {
+  uint8_t* dst = out.data();
+  size_t left = out.size();
+  if (buffered_ != 0 && left != 0) {
+    const size_t head = std::min(left, buffered_);
+    std::memcpy(dst, buffer_.data() + (Aes128::kBlockSize - buffered_), head);
+    buffered_ -= head;
+    dst += head;
+    left -= head;
+  }
+
+  const size_t blocks = left / Aes128::kBlockSize;
+  EncryptBlocks(dst, blocks);
+  dst += blocks * Aes128::kBlockSize;
+  left -= blocks * Aes128::kBlockSize;
+
+  if (left != 0) {
+    EncryptBlocks(buffer_.data(), 1);
+    std::memcpy(dst, buffer_.data(), left);
+    buffered_ = Aes128::kBlockSize - left;
   }
 }
 

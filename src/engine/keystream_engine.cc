@@ -21,12 +21,22 @@ namespace {
 
 constexpr size_t kKeySize = Rc4KeyGenerator::kRc4KeySize;
 
-// Draws `lanes` keys, in keygen order, into one flat buffer for a kernel's
-// lockstep Init().
-void GatherKeys(Rc4KeyGenerator& keygen, size_t lanes, uint8_t* out) {
-  for (size_t m = 0; m < lanes; ++m) {
-    const auto key = keygen.NextKey();
-    std::copy(key.begin(), key.end(), out + m * kKeySize);
+// Keys the scalar loops draw per AES-CTR call: enough blocks to fill the
+// AES-NI pipeline (src/crypto/aes128.cc).
+constexpr size_t kScalarKeyGroup = 8;
+
+// Calls fn(key) for each of the next `count` keys, in keygen order, drawing
+// them kScalarKeyGroup at a time.
+template <typename Fn>
+void ForEachKey(Rc4KeyGenerator& keygen, uint64_t count, Fn&& fn) {
+  uint8_t keys[kScalarKeyGroup * kKeySize];
+  for (uint64_t k = 0; k < count; k += kScalarKeyGroup) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(kScalarKeyGroup, count - k));
+    keygen.NextKeys(std::span<uint8_t>(keys, n * kKeySize));
+    for (size_t i = 0; i < n; ++i) {
+      fn(std::span<const uint8_t>(keys + i * kKeySize, kKeySize));
+    }
   }
 }
 
@@ -50,13 +60,15 @@ size_t ResolveBatchKeys(size_t requested) {
 // pre-kernel reference the bit-exactness tests and benches compare against.
 void FillRowsScalar(Rc4KeyGenerator& keygen, uint64_t drop, uint8_t* out,
                     size_t rows, size_t length) {
-  for (size_t r = 0; r < rows; ++r) {
-    Rc4 rc4(keygen.NextKey());
+  uint8_t* row = out;
+  ForEachKey(keygen, rows, [&](std::span<const uint8_t> key) {
+    Rc4 rc4(key);
     if (drop != 0) {
       rc4.Skip(drop);
     }
-    rc4.Keystream(std::span<uint8_t>(out + r * length, length));
-  }
+    rc4.Keystream(std::span<uint8_t>(row, length));
+    row += length;
+  });
 }
 
 // Fills rows [0, rows) of the row-major batch buffer with one keystream per
@@ -70,7 +82,7 @@ void FillRowsWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
   const size_t lanes = kernel.Width();
   size_t r = 0;
   for (; r + lanes <= rows; r += lanes) {
-    GatherKeys(keygen, lanes, keybuf);
+    keygen.NextKeys(std::span<uint8_t>(keybuf, lanes * kKeySize));
     kernel.Init(std::span<const uint8_t>(keybuf, lanes * kKeySize), kKeySize);
     if (drop != 0) {
       kernel.Skip(drop);
@@ -118,13 +130,13 @@ void StreamKeyScalar(Rc4& rc4, StreamShardSink& sink, const StreamPlan& plan,
 // the remainder loop after lockstep groups.
 void StreamKeysScalar(Rc4KeyGenerator& keygen, StreamShardSink& sink,
                       uint64_t count, const StreamPlan& plan, uint8_t* buffer) {
-  for (uint64_t k = 0; k < count; ++k) {
-    Rc4 rc4(keygen.NextKey());
+  ForEachKey(keygen, count, [&](std::span<const uint8_t> key) {
+    Rc4 rc4(key);
     if (plan.drop != 0) {
       rc4.Skip(plan.drop);
     }
     StreamKeyScalar(rc4, sink, plan, buffer);
-  }
+  });
 }
 
 // `count` keys through one sink: groups of Width() keys generated in
@@ -140,7 +152,7 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
   const size_t stride = plan.chunk + plan.lookahead;
   uint64_t k = 0;
   for (; k + lanes <= count; k += lanes) {
-    GatherKeys(keygen, lanes, keybuf);
+    keygen.NextKeys(std::span<uint8_t>(keybuf, lanes * kKeySize));
     kernel.Init(std::span<const uint8_t>(keybuf, lanes * kKeySize), kKeySize);
     if (plan.drop != 0) {
       kernel.Skip(plan.drop);

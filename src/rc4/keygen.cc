@@ -1,5 +1,7 @@
 #include "src/rc4/keygen.h"
 
+#include <cassert>
+
 #include "src/common/rng.h"
 
 namespace rc4b {
@@ -22,6 +24,11 @@ std::array<uint8_t, Rc4KeyGenerator::kRc4KeySize> Rc4KeyGenerator::NextKey() {
   std::array<uint8_t, kRc4KeySize> key;
   ctr_.Generate(key);
   return key;
+}
+
+void Rc4KeyGenerator::NextKeys(std::span<uint8_t> out) {
+  assert(out.size() % kRc4KeySize == 0);
+  ctr_.Generate(out);
 }
 
 void Rc4KeyGenerator::Seek(uint64_t key_index) { ctr_.Seek(key_index); }
