@@ -5,50 +5,68 @@
 
 namespace rc4b {
 
+size_t GridStripes::NextStart() {
+  static_assert((kStripes & (kStripes - 1)) == 0, "bit reversal needs 2^k");
+  const size_t shard = shards_.fetch_add(1, std::memory_order_relaxed);
+  size_t start = 0;
+  for (size_t bit = 1; bit < kStripes; bit <<= 1) {
+    start = (start << 1) | ((shard & bit) != 0 ? 1 : 0);
+  }
+  return start;
+}
+
 namespace {
 
-// Flush cadence for 16-bit worker tiles, counted in keys. The largest
-// per-cell probability across our short-term datasets is ~2 * 2^-8 (the
-// Mantin–Shamir Z2 = 0 bias), so per-cell counts stay below ~2^12 per flush —
-// a wide margin under the 2^16 - 1 cap even with batch-sized overshoot.
+// Flush cadence for 16-bit worker tiles, counted in keys: the one bound on
+// tile counts. The largest per-cell probability across our short-term
+// datasets is ~2 * 2^-8 (the Mantin–Shamir Z2 = 0 bias), so per-cell counts
+// stay below ~2^12 per flush — a wide margin under the tile's 2^16 - 1 cap
+// even with batch-sized overshoot. The 64-bit grid cannot wrap.
 constexpr uint64_t kKeysPerFlush = 1 << 19;
 
-// Shard sink shared by all short-term accumulators: a 16-bit tile spilling
-// into a cache-aligned 32-bit shard block; the block merges into the final
-// 64-bit grid exactly once, when the engine retires the shard. Keeping the
-// spill block at 32 bits halves per-shard memory (the paper's counter-size
-// optimization is what lets ~24 digraph workers coexist) and is safe for any
-// shard processing < 2^32 * min-cell-probability^-1 keys — far beyond 2^39
-// keys per shard at our largest (~2^-7.3) cell probability.
+// Shard sink shared by all short-term accumulators: a 16-bit tile that
+// flushes straight into the accumulator's final 64-bit grid, one stripe at a
+// time, every kKeysPerFlush keys and once more when the engine retires the
+// shard.
 class TileShardSink : public ShardSink {
  public:
-  explicit TileShardSink(size_t cells) : tile_(cells), cells_(cells, 0) {}
+  TileShardSink(std::span<uint64_t> grid, size_t row_cells, GridStripes& stripes)
+      : tile_(grid.size()),
+        grid_(grid),
+        row_cells_(row_cells),
+        stripes_(stripes),
+        start_(stripes.NextStart()) {}
 
-  std::span<const uint32_t> cells() {
-    tile_.FlushInto(cells_);
-    return cells_;
+  void Flush() {
+    stripes_.ForEach(start_, [&](size_t first, size_t last) {
+      const size_t begin = first * row_cells_;
+      tile_.FlushInto(grid_.subspan(begin, (last - first) * row_cells_), begin);
+    });
+    keys_since_flush_ = 0;
   }
 
  protected:
   void CountKeysAndMaybeFlush(size_t rows) {
     keys_since_flush_ += rows;
     if (keys_since_flush_ >= kKeysPerFlush) {
-      tile_.FlushInto(cells_);
-      keys_since_flush_ = 0;
+      Flush();
     }
   }
 
   WorkerTile tile_;
 
  private:
-  AlignedVector<uint32_t> cells_;
+  std::span<uint64_t> grid_;
+  size_t row_cells_;
+  GridStripes& stripes_;
+  size_t start_;
   uint64_t keys_since_flush_ = 0;
 };
 
 class SingleByteShardSink : public TileShardSink {
  public:
-  explicit SingleByteShardSink(size_t positions)
-      : TileShardSink(positions * 256), positions_(positions) {}
+  SingleByteShardSink(SingleByteGrid& grid, GridStripes& stripes)
+      : TileShardSink(grid.MutableCells(), 256, stripes), positions_(grid.positions()) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Position-major: all rows hit one 256-cell tile region before moving
@@ -69,8 +87,9 @@ class SingleByteShardSink : public TileShardSink {
 
 class ConsecutiveShardSink : public TileShardSink {
  public:
-  explicit ConsecutiveShardSink(size_t positions)
-      : TileShardSink(positions * 65536), positions_(positions) {}
+  ConsecutiveShardSink(DigraphGrid& grid, GridStripes& stripes)
+      : TileShardSink(grid.MutableCells(), 65536, stripes),
+        positions_(grid.positions()) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Position-major (see SingleByteShardSink): for a 256-position digraph
@@ -99,8 +118,9 @@ class ConsecutiveShardSink : public TileShardSink {
 
 class PairShardSink : public TileShardSink {
  public:
-  explicit PairShardSink(const std::vector<std::pair<uint32_t, uint32_t>>& pairs)
-      : TileShardSink(pairs.size() * 65536), pairs_(pairs) {}
+  PairShardSink(const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
+                DigraphGrid& grid, GridStripes& stripes)
+      : TileShardSink(grid.MutableCells(), 65536, stripes), pairs_(pairs) {}
 
   void Consume(const KeystreamBatch& batch) override {
     // Pair-major for the same cache reasons as the other short-term sinks.
@@ -123,23 +143,28 @@ class PairShardSink : public TileShardSink {
 }  // namespace
 
 std::unique_ptr<ShardSink> SingleByteAccumulator::MakeShard() {
-  return std::make_unique<SingleByteShardSink>(positions_);
+  return std::make_unique<SingleByteShardSink>(grid_, stripes_);
 }
 
 void SingleByteAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<SingleByteShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).Flush();
+  grid_.AddKeys(keys);
 }
 
 std::unique_ptr<ShardSink> ConsecutiveAccumulator::MakeShard() {
-  return std::make_unique<ConsecutiveShardSink>(positions_);
+  return std::make_unique<ConsecutiveShardSink>(grid_, stripes_);
 }
 
 void ConsecutiveAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<ConsecutiveShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).Flush();
+  grid_.AddKeys(keys);
 }
 
 PairAccumulator::PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pairs)
-    : pairs_(std::move(pairs)), max_position_(0), grid_(pairs_.size()) {
+    : pairs_(std::move(pairs)),
+      max_position_(0),
+      grid_(pairs_.size()),
+      stripes_(pairs_.size()) {
   for (const auto& [a, b] : pairs_) {
     assert(a >= 1 && a < b);
     max_position_ = std::max<size_t>(max_position_, b);
@@ -147,11 +172,12 @@ PairAccumulator::PairAccumulator(std::vector<std::pair<uint32_t, uint32_t>> pair
 }
 
 std::unique_ptr<ShardSink> PairAccumulator::MakeShard() {
-  return std::make_unique<PairShardSink>(pairs_);
+  return std::make_unique<PairShardSink>(pairs_, grid_, stripes_);
 }
 
 void PairAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
-  grid_.MergeCounts32(static_cast<PairShardSink&>(shard).cells(), keys);
+  static_cast<TileShardSink&>(shard).Flush();
+  grid_.AddKeys(keys);
 }
 
 // ------------------------------------------------------------------------
@@ -159,28 +185,39 @@ void PairAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
 
 namespace {
 
+// Holds no counters: every window adds straight into the accumulator's
+// grid, one stripe of counter classes at a time.
 class LongTermDigraphShardSink : public StreamShardSink {
  public:
-  LongTermDigraphShardSink() : cells_(256 * 65536, 0) {}
+  LongTermDigraphShardSink(DigraphGrid& grid, GridStripes& stripes)
+      : grid_(grid.MutableCells()), stripes_(stripes), start_(stripes.NextStart()) {}
 
   void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) override {
     // chunk_bytes is a 256-multiple and owned positions restart at 0 each
     // key, so owned position `off` always sits at counter class off % 256.
-    for (size_t base = 0; base < owned; base += 256) {
-      const uint8_t* block = chunk.data() + base;
-      for (size_t off = 0; off < 256; ++off) {
-        cells_[off * 65536 + static_cast<size_t>(block[off]) * 256 +
-               block[off + 1]] += 1;
+    // Class-major within a stripe: one class's 512 KB grid row takes every
+    // block's digraph before the walk moves on. The cells are random within
+    // the row, so prefetch kPrefetchBlocks blocks ahead.
+    constexpr size_t kPrefetchBlocks = 32;
+    stripes_.ForEach(start_, [&](size_t first, size_t last) {
+      for (size_t off = first; off < last; ++off) {
+        uint64_t* row = grid_.data() + off * 65536;
+        const uint8_t* pair = chunk.data() + off;
+        for (size_t base = 0; base < owned; base += 256, pair += 256) {
+          if (base + kPrefetchBlocks * 256 < owned) {
+            const uint8_t* ahead = pair + kPrefetchBlocks * 256;
+            __builtin_prefetch(row + static_cast<size_t>(ahead[0]) * 256 + ahead[1], 1);
+          }
+          row[static_cast<size_t>(pair[0]) * 256 + pair[1]] += 1;
+        }
       }
-    }
+    });
   }
 
-  std::span<const uint32_t> cells() const { return cells_; }
-
  private:
-  // 32-bit shard-local block (67 MB instead of 134 MB), mirroring the
-  // paper's counter-size optimization; per-cell shard counts stay < 2^32.
-  AlignedVector<uint32_t> cells_;
+  std::span<uint64_t> grid_;
+  GridStripes& stripes_;
+  size_t start_;
 };
 
 class AbsabShardSink : public StreamShardSink {
@@ -228,13 +265,12 @@ class AlignedPairShardSink : public StreamShardSink {
 }  // namespace
 
 std::unique_ptr<StreamShardSink> LongTermDigraphAccumulator::MakeShard() {
-  return std::make_unique<LongTermDigraphShardSink>();
+  return std::make_unique<LongTermDigraphShardSink>(grid_, stripes_);
 }
 
-void LongTermDigraphAccumulator::MergeShard(StreamShardSink& shard, uint64_t keys,
+void LongTermDigraphAccumulator::MergeShard(StreamShardSink& /*shard*/, uint64_t keys,
                                             uint64_t owned_per_key) {
-  grid_.MergeCounts32(static_cast<LongTermDigraphShardSink&>(shard).cells(),
-                      keys * (owned_per_key / 256));
+  grid_.AddKeys(keys * (owned_per_key / 256));
 }
 
 std::unique_ptr<StreamShardSink> AbsabAccumulator::MakeShard() {

@@ -8,14 +8,20 @@
 //   ConsecutiveAccumulator  (Fig. 4/5)     AbsabAccumulator    (formula (1))
 //   PairAccumulator         (Table 2)      AlignedPairAccumulator (form. (8))
 //
-// Shard sinks keep 16-bit worker tiles (short-term) or 32/64-bit shard-local
-// blocks (long-term) in cache-aligned storage; merges into the final grid
-// happen exactly once per shard.
+// There is one layer of counters per grid: the accumulator's final 64-bit
+// grid. Grid sinks add straight into it under the accumulator's row-striped
+// locks (GridStripes). Short-term sinks count into a 16-bit worker tile first
+// and flush it stripe by stripe; the long-term digraph sink adds each window
+// directly. The ABSAB and aligned-pair sinks keep small shard-local 64-bit
+// blocks that MergeShard() adds in once per shard.
 #ifndef SRC_ENGINE_ACCUMULATORS_H_
 #define SRC_ENGINE_ACCUMULATORS_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -24,11 +30,56 @@
 
 namespace rc4b {
 
+// Row-striped locks over one accumulator's final grid. The grid's rows split
+// into kStripes contiguous ranges, one lock each; a sink adds into the grid
+// one stripe at a time with that stripe's lock held. Every shard walks the
+// stripes from its own start, spread so that concurrent shards rarely meet.
+// Integer addition commutes, so the grid is the same for every interleaving
+// of the walks: bit-exact for any worker count.
+class GridStripes {
+ public:
+  static constexpr size_t kStripes = 16;
+
+  explicit GridStripes(size_t rows) : rows_(rows) {}
+
+  // Start stripe for the next shard's walks. Consecutive shards get
+  // bit-reversed indices (0, 8, 4, 12, 2, ...), so any power-of-two number
+  // of shards starts evenly spaced.
+  size_t NextStart();
+
+  // Calls fn(first_row, last_row) once per non-empty stripe, in stripe order
+  // from `start` (wrapping), holding that stripe's lock.
+  template <typename Fn>
+  void ForEach(size_t start, Fn&& fn) {
+    for (size_t i = 0; i < kStripes; ++i) {
+      const size_t s = (start + i) % kStripes;
+      const size_t first = rows_ * s / kStripes;
+      const size_t last = rows_ * (s + 1) / kStripes;
+      if (first == last) {
+        continue;
+      }
+      std::lock_guard<std::mutex> lock(locks_[s].mutex);
+      fn(first, last);
+    }
+  }
+
+ private:
+  // One cache line per lock: neighbouring stripes are taken by different
+  // shards at the same time.
+  struct alignas(kCacheLineBytes) StripeLock {
+    std::mutex mutex;
+  };
+
+  size_t rows_;
+  std::array<StripeLock, kStripes> locks_;
+  std::atomic<size_t> shards_{0};
+};
+
 // Counts of Z_r for 1 <= r <= positions (one count per key per position).
 class SingleByteAccumulator : public BiasAccumulator {
  public:
   explicit SingleByteAccumulator(size_t positions)
-      : positions_(positions), grid_(positions) {}
+      : positions_(positions), grid_(positions), stripes_(positions) {}
 
   size_t KeystreamLength() const override { return positions_; }
   std::unique_ptr<ShardSink> MakeShard() override;
@@ -40,13 +91,14 @@ class SingleByteAccumulator : public BiasAccumulator {
  private:
   size_t positions_;
   SingleByteGrid grid_;
+  GridStripes stripes_;
 };
 
 // Counts of consecutive digraphs (Z_r, Z_{r+1}) for 1 <= r <= positions.
 class ConsecutiveAccumulator : public BiasAccumulator {
  public:
   explicit ConsecutiveAccumulator(size_t positions)
-      : positions_(positions), grid_(positions) {}
+      : positions_(positions), grid_(positions), stripes_(positions) {}
 
   size_t KeystreamLength() const override { return positions_ + 1; }
   std::unique_ptr<ShardSink> MakeShard() override;
@@ -58,6 +110,7 @@ class ConsecutiveAccumulator : public BiasAccumulator {
  private:
   size_t positions_;
   DigraphGrid grid_;
+  GridStripes stripes_;
 };
 
 // Counts of (Z_a, Z_b) for arbitrary 1-based position pairs a < b; grid row p
@@ -77,6 +130,7 @@ class PairAccumulator : public BiasAccumulator {
   std::vector<std::pair<uint32_t, uint32_t>> pairs_;
   size_t max_position_;
   DigraphGrid grid_;
+  GridStripes stripes_;
 };
 
 // Long-term digraphs (Z_r, Z_{r+1}) bucketed by (r - 1) mod 256 — row layout
@@ -84,7 +138,7 @@ class PairAccumulator : public BiasAccumulator {
 // samples per row.
 class LongTermDigraphAccumulator : public StreamAccumulator {
  public:
-  LongTermDigraphAccumulator() : grid_(256) {}
+  LongTermDigraphAccumulator() : grid_(256), stripes_(256) {}
 
   size_t Lookahead() const override { return 1; }
   std::unique_ptr<StreamShardSink> MakeShard() override;
@@ -96,6 +150,7 @@ class LongTermDigraphAccumulator : public StreamAccumulator {
 
  private:
   DigraphGrid grid_;
+  GridStripes stripes_;
 };
 
 // ABSAB match counts per gap g in [0, max_gap]: position r matches when

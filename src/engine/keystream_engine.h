@@ -12,9 +12,11 @@
 //     Seek()s to its range), so the generated key set — and therefore every
 //     merged counter — is bit-exact for ANY worker count, including 1;
 //   * each shard generates keystreams in batches (cache-friendly contiguous
-//     rows) and feeds them to a shard-private sink: no locks, no sharing,
-//     counters cache-line aligned;
-//   * finished shards are merged exactly once, serialized by the engine.
+//     rows) and feeds them to its own sink; grid sinks add into the
+//     accumulator's one 64-bit grid under row-striped locks, each shard
+//     starting its walk on a different stripe (src/engine/accumulators.h);
+//   * each finished shard is retired exactly once, serialized by the engine.
+//     Integer addition commutes, so no interleaving changes a count.
 //
 // Two generation modes cover the paper's datasets:
 //   * RunKeystreamEngine — per-key initial keystreams of a fixed length
@@ -45,9 +47,9 @@ struct KeystreamBatch {
   }
 };
 
-// Shard-private consumer. The engine creates one per shard and calls
-// Consume() from exactly one thread, so implementations need no
-// synchronization and should keep their counters shard-local.
+// Per-shard consumer. The engine creates one per shard and calls Consume()
+// from exactly one thread. Sinks that add into state shared with other
+// shards (the accumulator's grid) must synchronize those adds themselves.
 class ShardSink {
  public:
   virtual ~ShardSink() = default;
@@ -55,10 +57,10 @@ class ShardSink {
 };
 
 // A statistics accumulator fed by the engine. Implementations own the final
-// merged statistic (typically a SingleByteGrid / DigraphGrid) and hand out
-// shard sinks whose counters they fold back in MergeShard() — which the
-// engine calls exactly once per shard, serialized, after the shard's last
-// Consume().
+// statistic (typically a SingleByteGrid / DigraphGrid) and hand out shard
+// sinks that feed it. The engine calls MakeShard() and MergeShard() serialized
+// with each other, and MergeShard() exactly once per shard, after the
+// shard's last Consume(); other shards may still be consuming.
 class BiasAccumulator {
  public:
   virtual ~BiasAccumulator() = default;
@@ -109,7 +111,7 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 // ------------------------------------------------------------------------
 // Long-term (streaming) mode.
 
-// Shard-private consumer of one key's long keystream, delivered as
+// Per-shard consumer of one key's long keystream, delivered as
 // overlapping windows chunk[0 .. owned + Lookahead()): the first `owned`
 // positions belong to this call; the trailing Lookahead() bytes are context
 // shared with the next window (a digraph or ABSAB pattern starting at an

@@ -20,14 +20,6 @@ void SingleByteGrid::MergeCells(std::span<const uint64_t> cells, uint64_t keys) 
   keys_ += keys;
 }
 
-void SingleByteGrid::MergeCounts32(std::span<const uint32_t> local, uint64_t keys) {
-  assert(local.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += local[i];
-  }
-  keys_ += keys;
-}
-
 bool operator==(const SingleByteGrid& a, const SingleByteGrid& b) {
   return a.positions_ == b.positions_ && a.keys_ == b.keys_ &&
          a.counts_ == b.counts_;
@@ -45,14 +37,6 @@ void DigraphGrid::MergeCells(std::span<const uint64_t> cells, uint64_t keys) {
   assert(cells.size() == counts_.size());
   for (size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += cells[i];
-  }
-  keys_ += keys;
-}
-
-void DigraphGrid::MergeCounts32(std::span<const uint32_t> local, uint64_t keys) {
-  assert(local.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += local[i];
   }
   keys_ += keys;
 }
@@ -81,19 +65,12 @@ double DigraphGrid::MarginalSecond(size_t pos, uint8_t v) const {
   return static_cast<double>(sum) / static_cast<double>(keys_);
 }
 
-void WorkerTile::FlushInto(std::span<uint64_t> out) {
-  assert(out.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out[i] += counts_[i];
-    counts_[i] = 0;
-  }
-}
-
-void WorkerTile::FlushInto(std::span<uint32_t> out) {
-  assert(out.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out[i] += counts_[i];
-    counts_[i] = 0;
+void WorkerTile::FlushInto(std::span<uint64_t> out, size_t first) {
+  assert(first + out.size() <= counts_.size());
+  uint16_t* cells = counts_.data() + first;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] += cells[i];
+    cells[i] = 0;
   }
 }
 

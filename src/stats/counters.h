@@ -1,10 +1,10 @@
 // Counter grids for keystream statistics.
 //
 // Mirrors the paper's dataset-generation optimizations (Sect. 3.2): workers
-// accumulate into 16-bit counters (cache friendly; safe for <= 2^15 keys per
-// flush even under strong biases) and periodically flush into 64-bit merge
-// grids. Grids are indexed (position, value) for single-byte statistics and
-// (position, value1, value2) for digraph statistics.
+// accumulate into 16-bit counters (WorkerTile, cache friendly) and
+// periodically flush them into 64-bit grids. Grids are indexed
+// (position, value) for single-byte statistics and (position, value1,
+// value2) for digraph statistics.
 #ifndef SRC_STATS_COUNTERS_H_
 #define SRC_STATS_COUNTERS_H_
 
@@ -16,9 +16,9 @@
 
 namespace rc4b {
 
-// Cache-line alignment for shard-local counter blocks: engine shards write
-// their counters lock-free from one thread each, and aligning every shard's
-// block to its own cache lines keeps false sharing out of the hot loop.
+// Cache-line alignment for counter storage: engine shards write their worker
+// tiles from one thread each, and aligning every tile (and every grid) to its
+// own cache lines keeps false sharing out of the hot loop.
 inline constexpr size_t kCacheLineBytes = 64;
 
 template <typename T>
@@ -68,7 +68,7 @@ class SingleByteGrid {
   uint64_t keys() const { return keys_; }
   void AddKeys(uint64_t n) { keys_ += n; }
 
-  // Raw cell storage (pos-major) for worker-tile flushes.
+  // Raw cell storage (pos-major) for the engine's striped adds.
   std::span<uint64_t> MutableCells() { return counts_; }
   // Read-only view of all cells (pos-major) — the grid store serializes this
   // block verbatim (src/store/grid_file.h).
@@ -77,10 +77,8 @@ class SingleByteGrid {
   // Merges another grid (e.g. a worker shard) into this one.
   void Merge(const SingleByteGrid& other);
 
-  // Adds a shard's raw cell block (same pos-major layout) plus its key count.
-  // The one-shot merge path used by engine accumulators.
+  // Adds a raw cell block (same pos-major layout) plus its key count.
   void MergeCells(std::span<const uint64_t> cells, uint64_t keys);
-  void MergeCounts32(std::span<const uint32_t> local, uint64_t keys);
 
   // Exact equality of positions, key count and every cell (merge
   // bit-exactness checks).
@@ -120,18 +118,15 @@ class DigraphGrid {
   uint64_t keys() const { return keys_; }
   void AddKeys(uint64_t n) { keys_ += n; }
 
-  // Raw cell storage (pos-major) for worker-tile flushes.
+  // Raw cell storage (pos-major) for the engine's striped adds.
   std::span<uint64_t> MutableCells() { return counts_; }
   // Read-only view of all cells (pos-major, see src/store/grid_file.h).
   std::span<const uint64_t> Cells() const { return counts_; }
 
   void Merge(const DigraphGrid& other);
 
-  // Adds a shard's raw cell block plus its key count (engine merge path).
+  // Adds a raw cell block (same pos-major layout) plus its key count.
   void MergeCells(std::span<const uint64_t> cells, uint64_t keys);
-
-  // Adds 32-bit worker-local counts into this grid.
-  void MergeCounts32(std::span<const uint32_t> local, uint64_t keys);
 
   friend bool operator==(const DigraphGrid& a, const DigraphGrid& b);
 
@@ -150,10 +145,10 @@ class DigraphGrid {
   uint64_t keys_ = 0;
 };
 
-// 16-bit worker-local tile that spills into a 64-bit grid. The worker may
-// call Add() at most 2^16 - 1 times per cell between FlushInto() calls;
-// dataset drivers pick their flush cadence from the largest per-cell
-// probability they can encounter (see src/engine/accumulators.cc).
+// 16-bit worker-local tile that flushes into a 64-bit grid. A cell wraps
+// silently past 2^16 - 1 Add()s between flushes; the engine's flush cadence
+// and why it stays under that cap are stated once, at kKeysPerFlush in
+// src/engine/accumulators.cc.
 class WorkerTile {
  public:
   explicit WorkerTile(size_t cells) : counts_(cells, 0) {}
@@ -165,10 +160,9 @@ class WorkerTile {
   // pipeline hides most of their cache/TLB latency in the consume loops.
   void Prefetch(size_t cell) const { __builtin_prefetch(&counts_[cell], 1); }
 
-  // Adds all counts into `out[cell]` and zeroes the tile. The 32-bit form is
-  // for shard-local spill blocks (per-cell shard totals must stay < 2^32).
-  void FlushInto(std::span<uint64_t> out);
-  void FlushInto(std::span<uint32_t> out);
+  // Adds tile cells [first, first + out.size()) into `out` and zeroes them,
+  // so a flush can run one grid stripe at a time.
+  void FlushInto(std::span<uint64_t> out, size_t first = 0);
 
   size_t cells() const { return counts_.size(); }
 

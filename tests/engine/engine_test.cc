@@ -57,17 +57,25 @@ void ExpectGridsEqual(const DigraphGrid& a, const DigraphGrid& b) {
   }
 }
 
+// More shards than grid lock stripes: at least two shards start their
+// stripe walks on the same stripe.
+constexpr unsigned kMoreShardsThanStripes = GridStripes::kStripes + 1;
+
 TEST(KeystreamEngineTest, SingleByteShardingIsBitExact) {
   // 20001 keys do not divide evenly into 4 or 7 shards; counts must still
   // match the single-shard reference exactly.
   const auto reference = RunSingleByte(8, Options(20001, 1, 3));
   ExpectGridsEqual(reference, RunSingleByte(8, Options(20001, 4, 3)));
   ExpectGridsEqual(reference, RunSingleByte(8, Options(20001, 7, 3)));
+  ExpectGridsEqual(reference,
+                   RunSingleByte(8, Options(20001, kMoreShardsThanStripes, 3)));
 }
 
 TEST(KeystreamEngineTest, ConsecutiveShardingIsBitExact) {
   const auto reference = RunConsecutive(4, Options(6007, 1, 5));
   ExpectGridsEqual(reference, RunConsecutive(4, Options(6007, 3, 5)));
+  ExpectGridsEqual(reference,
+                   RunConsecutive(4, Options(6007, kMoreShardsThanStripes, 5)));
 }
 
 TEST(KeystreamEngineTest, PairShardingIsBitExact) {
@@ -77,6 +85,9 @@ TEST(KeystreamEngineTest, PairShardingIsBitExact) {
   PairAccumulator sharded(pairs);
   RunKeystreamEngine(Options(5000, 5, 7), sharded);
   ExpectGridsEqual(single.grid(), sharded.grid());
+  PairAccumulator many(pairs);
+  RunKeystreamEngine(Options(5000, kMoreShardsThanStripes, 7), many);
+  ExpectGridsEqual(single.grid(), many.grid());
 }
 
 TEST(KeystreamEngineTest, BatchSizeDoesNotChangeCounts) {
@@ -163,6 +174,16 @@ TEST(LongTermEngineTest, StreamingShardingIsBitExact) {
   AlignedPairAccumulator aligned_sharded(0, 2);
   RunLongTermEngine(options, aligned_sharded);
   EXPECT_EQ(aligned_single.counts(), aligned_sharded.counts());
+
+  // Enough keys for one shard per worker when shards outnumber the stripes.
+  options.keys = kMoreShardsThanStripes + 2;
+  options.workers = 1;
+  LongTermDigraphAccumulator many_single;
+  RunLongTermEngine(options, many_single);
+  options.workers = kMoreShardsThanStripes;
+  LongTermDigraphAccumulator many_sharded;
+  RunLongTermEngine(options, many_sharded);
+  ExpectGridsEqual(many_single.grid(), many_sharded.grid());
 }
 
 TEST(LongTermEngineTest, ChunkSizeDoesNotChangeCounts) {

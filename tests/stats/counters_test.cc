@@ -80,6 +80,20 @@ TEST(WorkerTileTest, FlushAddsAndZeroes) {
   EXPECT_EQ(out[3], 102u);
 }
 
+TEST(WorkerTileTest, RangeFlushTouchesOnlyItsCells) {
+  // The engine flushes a tile one grid stripe at a time: cells outside the
+  // flushed range must keep their counts until their own stripe's turn.
+  WorkerTile tile(8);
+  tile.Add(1);
+  tile.Add(5);
+  tile.Add(6);
+  std::vector<uint64_t> grid(8, 0);
+  tile.FlushInto(std::span<uint64_t>(grid).subspan(4, 3), 4);
+  EXPECT_EQ(grid, (std::vector<uint64_t>{0, 0, 0, 0, 0, 1, 1, 0}));
+  tile.FlushInto(grid);
+  EXPECT_EQ(grid, (std::vector<uint64_t>{0, 1, 0, 0, 0, 1, 1, 0}));
+}
+
 TEST(WorkerTileTest, ManyIncrementsBelowCap) {
   WorkerTile tile(1);
   for (int i = 0; i < 60000; ++i) {
