@@ -4,13 +4,14 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 
 namespace rc4b {
 
 namespace {
 
-// Backpointer entry shared by both list algorithms.
+// Backpointer entry of Algorithm 1's per-length rounds.
 struct Entry {
   double score;
   uint8_t value;      // byte appended at this round
@@ -148,99 +149,123 @@ Candidate LazyCandidateEnumerator::Next() {
   return c;
 }
 
+LazyDoubleCandidateEnumerator::LazyDoubleCandidateEnumerator(
+    const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last,
+    std::span<const uint8_t> alphabet)
+    : alphabet_(alphabet.empty()
+                    ? FullAlphabet()
+                    : std::vector<uint8_t>(alphabet.begin(), alphabet.end())) {
+  // Load-bearing validation: the tables are indexed as 65536-cell rows below
+  // and inner = |transitions| - 1 must be at least 1, so a malformed input
+  // must not be read in Release builds. Loud, because no candidates
+  // downstream look like a legitimately failed attack.
+  const bool valid =
+      transitions.size() >= 2 &&
+      std::all_of(transitions.begin(), transitions.end(),
+                  [](const std::vector<double>& table) { return table.size() == 65536; });
+  if (!valid) {
+    std::fprintf(stderr,
+                 "LazyDoubleCandidateEnumerator: %zu transition tables (need "
+                 "at least 2, each with 65536 cells); no candidates\n",
+                 transitions.size());
+    return;
+  }
+  const size_t a = alphabet_.size();
+  inner_ = transitions.size() - 1;
+  last_.resize(a);
+  for (size_t vi = 0; vi < a; ++vi) {
+    last_[vi] = transitions[inner_][static_cast<size_t>(alphabet_[vi]) * 256 + m_last];
+  }
+  transitions_.resize(inner_);
+  for (size_t t = 1; t < inner_; ++t) {
+    transitions_[t].resize(a * a);
+    for (size_t vi = 0; vi < a; ++vi) {
+      for (size_t ui = 0; ui < a; ++ui) {
+        transitions_[t][vi * a + ui] =
+            transitions[t][static_cast<size_t>(alphabet_[ui]) * 256 + alphabet_[vi]];
+      }
+    }
+  }
+
+  // Transition 0 (m1 -> first unknown byte) leaves one entry per value.
+  lists_.assign(inner_, std::vector<List>(a));
+  for (size_t vi = 0; vi < a; ++vi) {
+    lists_[0][vi].entries.push_back(
+        Entry{transitions[0][static_cast<size_t>(m1) * 256 + alphabet_[vi]], 0, 0});
+  }
+  // Every later list merges the |A| streams of the previous transition:
+  // stream ui yields lists_[t-1][ui][j].score + log lambda_t(a[ui], a[vi]).
+  for (size_t t = 1; t < inner_; ++t) {
+    for (uint32_t vi = 0; vi < a; ++vi) {
+      List& list = lists_[t][vi];
+      for (uint32_t ui = 0; ui < a; ++ui) {
+        list.heap.push(StreamNode{
+            lists_[t - 1][ui].entries[0].score + Transition(t, ui, vi), 0, ui});
+      }
+      Get(t, vi, 0);
+    }
+  }
+  // The final transition (last unknown byte -> m_last) merges into one stream.
+  for (uint32_t vi = 0; vi < a; ++vi) {
+    heap_.push(StreamNode{lists_[inner_ - 1][vi].entries[0].score + last_[vi], 0, vi});
+  }
+}
+
+const LazyDoubleCandidateEnumerator::Entry* LazyDoubleCandidateEnumerator::Get(
+    size_t t, uint32_t vi, uint32_t j) {
+  List& list = lists_[t][vi];
+  while (list.entries.size() <= j) {
+    if (list.pending) {
+      // The last entry's stream moves on to its next entry.
+      list.pending = false;
+      const uint32_t stream = list.entries.back().prev_value_index;
+      const uint32_t index = list.entries.back().prev_list_index + 1;
+      if (const Entry* next = Get(t - 1, stream, index)) {
+        list.heap.push(
+            StreamNode{next->score + Transition(t, stream, vi), index, stream});
+      }
+    }
+    if (list.heap.empty()) {
+      return nullptr;
+    }
+    const StreamNode top = list.heap.top();
+    list.heap.pop();
+    list.pending = true;
+    list.entries.push_back(Entry{top.score, top.stream, top.prev_index});
+  }
+  return &list.entries[j];
+}
+
+Candidate LazyDoubleCandidateEnumerator::Next() {
+  assert(!heap_.empty());
+  const StreamNode top = heap_.top();
+  heap_.pop();
+
+  Candidate c;
+  c.log_likelihood = top.score;
+  c.plaintext.resize(inner_);
+  uint32_t value_index = top.stream;
+  uint32_t list_index = top.prev_index;
+  for (size_t t = inner_; t-- > 0;) {
+    c.plaintext[t] = alphabet_[value_index];
+    const Entry& e = lists_[t][value_index].entries[list_index];
+    value_index = e.prev_value_index;
+    list_index = e.prev_list_index;
+  }
+  if (const Entry* next = Get(inner_ - 1, top.stream, top.prev_index + 1)) {
+    heap_.push(StreamNode{next->score + last_[top.stream], top.prev_index + 1,
+                          top.stream});
+  }
+  return c;
+}
+
 std::vector<Candidate> GenerateCandidatesDouble(const DoubleByteTables& transitions,
                                                 uint8_t m1, uint8_t m_last, size_t n,
                                                 std::span<const uint8_t> alphabet) {
-  const std::vector<uint8_t> full =
-      alphabet.empty() ? FullAlphabet() : std::vector<uint8_t>();
-  const std::span<const uint8_t> a = alphabet.empty() ? std::span<const uint8_t>(full)
-                                                      : alphabet;
-  const size_t inner = transitions.size() - 1;  // number of unknown bytes
-  assert(inner >= 1);
-
-  // lists[t][value_index] = N-best entries for prefixes ending in a[value_index]
-  // after consuming transition t. Entries point into lists[t-1].
-  // An entry's `prev` packs (previous value index, index in its list).
-  struct ListEntry {
-    double score;
-    uint32_t prev_value_index;
-    uint32_t prev_list_index;
-  };
-  std::vector<std::vector<std::vector<ListEntry>>> lists(inner);
-
-  // Transition 0: m1 -> first unknown byte.
-  assert(transitions[0].size() == 65536);
-  lists[0].resize(a.size());
-  for (size_t vi = 0; vi < a.size(); ++vi) {
-    const double score = transitions[0][static_cast<size_t>(m1) * 256 + a[vi]];
-    lists[0][vi].push_back(ListEntry{score, 0, 0});
-  }
-
-  // Transitions between unknown bytes.
-  for (size_t t = 1; t < inner; ++t) {
-    assert(transitions[t].size() == 65536);
-    lists[t].resize(a.size());
-    for (size_t vi = 0; vi < a.size(); ++vi) {
-      const uint8_t mu2 = a[vi];
-      // Merge |A| sorted streams: stream ui yields
-      // lists[t-1][ui][j].score + log lambda_t(a[ui], mu2) for j = 0, 1, ...
-      std::priority_queue<StreamHeapNode> heap;
-      for (uint32_t ui = 0; ui < a.size(); ++ui) {
-        if (!lists[t - 1][ui].empty()) {
-          const double trans =
-              transitions[t][static_cast<size_t>(a[ui]) * 256 + mu2];
-          heap.push(StreamHeapNode{lists[t - 1][ui][0].score + trans, 0, ui});
-        }
-      }
-      auto& out_list = lists[t][vi];
-      while (out_list.size() < n && !heap.empty()) {
-        const StreamHeapNode top = heap.top();
-        heap.pop();
-        out_list.push_back(ListEntry{top.score, top.stream, top.prev_index});
-        const auto& src = lists[t - 1][top.stream];
-        if (top.prev_index + 1 < src.size()) {
-          const double trans =
-              transitions[t][static_cast<size_t>(a[top.stream]) * 256 + mu2];
-          heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
-                                   top.prev_index + 1, top.stream});
-        }
-      }
-    }
-  }
-
-  // Final transition: last unknown byte -> m_last. Merge into one list.
-  const auto& final_table = transitions[inner];
-  assert(final_table.size() == 65536);
-  std::priority_queue<StreamHeapNode> heap;
-  for (uint32_t vi = 0; vi < a.size(); ++vi) {
-    if (!lists[inner - 1][vi].empty()) {
-      const double trans = final_table[static_cast<size_t>(a[vi]) * 256 + m_last];
-      heap.push(StreamHeapNode{lists[inner - 1][vi][0].score + trans, 0, vi});
-    }
-  }
+  LazyDoubleCandidateEnumerator enumerator(transitions, m1, m_last, alphabet);
   std::vector<Candidate> out;
-  while (out.size() < n && !heap.empty()) {
-    const StreamHeapNode top = heap.top();
-    heap.pop();
-    Candidate c;
-    c.log_likelihood = top.score;
-    c.plaintext.resize(inner);
-    uint32_t value_index = top.stream;
-    uint32_t list_index = top.prev_index;
-    for (size_t t = inner; t-- > 0;) {
-      c.plaintext[t] = a[value_index];
-      const ListEntry& e = lists[t][value_index][list_index];
-      value_index = e.prev_value_index;
-      list_index = e.prev_list_index;
-    }
-    out.push_back(std::move(c));
-    const auto& src = lists[inner - 1][top.stream];
-    if (top.prev_index + 1 < src.size()) {
-      const double trans =
-          final_table[static_cast<size_t>(a[top.stream]) * 256 + m_last];
-      heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
-                               top.prev_index + 1, top.stream});
-    }
+  while (out.size() < n && !enumerator.Exhausted()) {
+    out.push_back(enumerator.Next());
   }
   return out;
 }

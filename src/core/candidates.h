@@ -10,7 +10,9 @@
 //   * Algorithm 2 of the paper: an N-best list-Viterbi decoder over
 //     double-byte (Markov / HMM transition) likelihoods with known first and
 //     last bytes and an optional restricted plaintext alphabet (the cookie
-//     character-set optimization of Sect. 6.2).
+//     character-set optimization of Sect. 6.2). It is evaluated lazily, so a
+//     traversal that stops at rank k extends each list to at most k + 1
+//     entries, whatever the candidate budget.
 #ifndef SRC_CORE_CANDIDATES_H_
 #define SRC_CORE_CANDIDATES_H_
 
@@ -70,9 +72,84 @@ class LazyCandidateEnumerator {
 // plaintext m1 || P || mL; t ranges over 0 .. L-2 where L = |P| + 2.
 using DoubleByteTables = std::vector<std::vector<double>>;
 
+// Algorithm 2, evaluated lazily (lazy k-best in the style of Huang & Chiang
+// 2005). The decoder keeps one sorted list per (transition t, value) pair:
+// the best prefixes that end in that value after transition t, each merged
+// from the |A| lists of transition t-1 with its own heap. A list is extended
+// only when a later list or the final merge asks for its next entry, so
+// drawing the k best candidates extends each list to at most k + 1 entries.
+//
+// Every list's heap sees the same push/pop sequence as an eager decoder that
+// builds all lists to N entries first, so candidates (ties included) come
+// out in the same order with bit-identical scores, and any prefix of the
+// sequence equals the eager N-best list (tests/recovery/golden_parity_test.cc
+// pins this).
+class LazyDoubleCandidateEnumerator {
+ public:
+  // `transitions` must hold at least two 65536-cell tables; otherwise one
+  // line goes to stderr and the enumerator starts exhausted. `alphabet`
+  // restricts the inner byte values (empty = all 256). The enumerator copies
+  // what it needs, so the arguments need not outlive it.
+  LazyDoubleCandidateEnumerator(const DoubleByteTables& transitions, uint8_t m1,
+                                uint8_t m_last,
+                                std::span<const uint8_t> alphabet = {});
+
+  // Returns the next most likely inner plaintext (|P| bytes). Callers must
+  // check Exhausted() first.
+  Candidate Next();
+
+  // True once all |A|^|P| candidates have been returned.
+  bool Exhausted() const { return heap_.empty(); }
+
+ private:
+  // An entry of a per-(t, value) list: its score and the entry of the
+  // transition t-1 list it extends.
+  struct Entry {
+    double score;
+    uint32_t prev_value_index;
+    uint32_t prev_list_index;
+  };
+  // Heap node of a sorted-stream merge: stream `stream`'s entry
+  // `prev_index`, extended by one transition.
+  struct StreamNode {
+    double score;
+    uint32_t prev_index;
+    uint32_t stream;
+    friend bool operator<(const StreamNode& a, const StreamNode& b) {
+      return a.score < b.score;
+    }
+  };
+  struct List {
+    std::vector<Entry> entries;
+    std::priority_queue<StreamNode> heap;
+    // The successor of the last entry's node is not pushed yet. It is pushed
+    // just before the next pop, the first point where the eager decoder's
+    // push after each pop matters.
+    bool pending = false;
+  };
+
+  // log lambda_t(a[ui], a[vi]) for 1 <= t < inner.
+  double Transition(size_t t, uint32_t ui, uint32_t vi) const {
+    return transitions_[t][static_cast<size_t>(vi) * alphabet_.size() + ui];
+  }
+  // Entry j of list (t, vi), extending the list as needed; nullptr when the
+  // list has fewer than j + 1 entries.
+  const Entry* Get(size_t t, uint32_t vi, uint32_t j);
+
+  std::vector<uint8_t> alphabet_;
+  size_t inner_ = 0;  // number of unknown bytes
+  // transitions_[t][vi * |A| + ui] for 1 <= t < inner; last_[vi] is the
+  // a[vi] -> m_last transition.
+  std::vector<std::vector<double>> transitions_;
+  std::vector<double> last_;
+  std::vector<std::vector<List>> lists_;  // lists_[t][vi], 0 <= t < inner
+  std::priority_queue<StreamNode> heap_;  // the final merge
+};
+
 // Algorithm 2: the N most likely plaintexts (inner bytes only, |P| bytes)
-// given the known boundary bytes m1 and mL. `alphabet` restricts the inner
-// byte values (empty = all 256).
+// given the known boundary bytes m1 and mL, i.e. the first n candidates of
+// LazyDoubleCandidateEnumerator. `alphabet` restricts the inner byte values
+// (empty = all 256).
 std::vector<Candidate> GenerateCandidatesDouble(const DoubleByteTables& transitions,
                                                 uint8_t m1, uint8_t m_last, size_t n,
                                                 std::span<const uint8_t> alphabet = {});

@@ -7,23 +7,40 @@
 namespace rc4b {
 
 void XorCorrelate256(const double* weights, const double* log_p, double* lambda) {
-  for (size_t mu = 0; mu < 256; mu += 4) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t c = 0; c < 256; ++c) {
-      const double w = weights[c];
-      if (w == 0.0) {
-        continue;
-      }
-      const size_t base = c ^ mu;
-      s0 += w * log_p[base];
-      s1 += w * log_p[base ^ 1];
-      s2 += w * log_p[base ^ 2];
-      s3 += w * log_p[base ^ 3];
+  // The nonzero (c, w) pairs in ascending c: zero cells contribute nothing,
+  // and skipping them keeps a -inf log_p cell from turning 0 * -inf into NaN.
+  uint8_t cs[256] = {};
+  double ws[256] = {};
+  size_t nonzero = 0;
+  for (size_t c = 0; c < 256; ++c) {
+    if (weights[c] != 0.0) {
+      cs[nonzero] = static_cast<uint8_t>(c);
+      ws[nonzero] = weights[c];
+      ++nonzero;
     }
-    lambda[mu] += s0;
-    lambda[mu + 1] += s1;
-    lambda[mu + 2] += s2;
-    lambda[mu + 3] += s3;
+  }
+  // shifted[x][i] = log_p[i ^ x]. For an 8-aligned mu block blk, the cells
+  // log_p[c ^ (blk + k)], k = 0..7, are the contiguous run
+  // shifted[c & 7][((c & ~7) ^ blk) + k].
+  alignas(64) double shifted[8][256];
+  for (size_t x = 0; x < 8; ++x) {
+    for (size_t i = 0; i < 256; ++i) {
+      shifted[x][i] = log_p[i ^ x];
+    }
+  }
+  for (size_t blk = 0; blk < 256; blk += 8) {
+    // One accumulator per mu, summed in ascending c: the naive loop's order.
+    double s[8] = {};
+    for (size_t j = 0; j < nonzero; ++j) {
+      const double w = ws[j];
+      const double* row = shifted[cs[j] & 7] + ((cs[j] & ~size_t{7}) ^ blk);
+      for (size_t k = 0; k < 8; ++k) {
+        s[k] += w * row[k];
+      }
+    }
+    for (size_t k = 0; k < 8; ++k) {
+      lambda[blk + k] += s[k];
+    }
   }
 }
 

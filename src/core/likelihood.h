@@ -33,12 +33,16 @@ inline double SafeLog(double p) {
   return std::log(p < kMinProbability ? kMinProbability : p);
 }
 
-// Blocked XOR-correlation kernel shared by the likelihood hot loops:
+// Sparse XOR-correlation kernel shared by the likelihood hot loops:
 //   lambda[mu] += sum_c weights[c] * log_p[c XOR mu]   for all mu in 0..255.
-// All three 256-double rows are L1-resident; the kernel unrolls mu four wide
-// (each mu keeps its own accumulator, summed in ascending-c order, so results
-// are bit-identical to the naive loop) and skips zero-weight cells, which
-// also keeps a -inf in log_p from turning 0 * -inf into NaN.
+// The kernel gathers the nonzero (c, weight) pairs once, in ascending c, and
+// builds 8 XOR-shifted copies of log_p (shifted[x][i] = log_p[i ^ x]), so
+// that for each aligned 8-wide mu block the 8 cells log_p[c ^ mu] are one
+// contiguous, branch-free read. Each mu keeps its own accumulator, starting
+// at 0 and summed in ascending-c order before it is added into lambda, so
+// results are bit-identical to the naive skip-zero loop
+// (tests/core/likelihood_test.cc pins this with memcmp). Skipping zero
+// weights also keeps a -inf in log_p from turning 0 * -inf into NaN.
 void XorCorrelate256(const double* weights, const double* log_p, double* lambda);
 
 // Elementwise SafeLog() of a probability vector (any size).

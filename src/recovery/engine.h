@@ -3,8 +3,9 @@
 // Both headline attacks of the paper are instances of one algorithm:
 //   1. accumulate ciphertext statistics,
 //   2. turn them into per-position likelihood tables (a LikelihoodSource),
-//   3. enumerate plaintext candidates in decreasing likelihood (Algorithm 1
-//      lazily for single-byte tables, Algorithm 2 for double-byte tables),
+//   3. enumerate plaintext candidates in decreasing likelihood, lazily
+//      (Algorithm 1 for single-byte tables, Algorithm 2 for double-byte
+//      tables),
 //   4. test each candidate against a verification predicate — the CRC-32
 //      relation between MIC and ICV for TKIP (Sect. 5.3), the server oracle
 //      for HTTPS cookies (Sect. 6.2) — until one is accepted or the
@@ -71,9 +72,11 @@ class RecoveryEngine {
   RecoveryResult RecoverSingle(SingleByteLikelihoodSource& source,
                                const VerifyPredicate& verify) const;
 
-  // Double-byte pipeline: Algorithm 2's N-best list (optionally restricted
-  // to `alphabet`), brute-forced against the predicate in order. Fewer than
-  // two transition tables yield an empty result.
+  // Double-byte pipeline: Algorithm 2's ordering (optionally restricted to
+  // `alphabet`), drawn lazily from LazyDoubleCandidateEnumerator and tested
+  // against the predicate in order, so the cost scales with the accepted
+  // candidate's rank, not the budget. Malformed tables (fewer than two, or
+  // not 65536 wide) yield an empty result and one stderr line.
   RecoveryResult RecoverDouble(const DoubleByteTables& transitions,
                                const PairBoundary& boundary,
                                std::span<const uint8_t> alphabet,
@@ -84,8 +87,6 @@ class RecoveryEngine {
                                const VerifyPredicate& verify) const;
 
  private:
-  RecoveryResult Accept(const Candidate& candidate, uint64_t tried) const;
-
   RecoveryOptions options_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,26 @@ TEST(Algorithm2Test, ScoresMatchPlaintextEvaluation) {
     }
     score += transitions[3][static_cast<size_t>(c.plaintext.back()) * 256 + 'T'];
     EXPECT_NEAR(score, c.log_likelihood, 1e-9);
+  }
+}
+
+TEST(Algorithm2Test, MalformedTablesYieldNoCandidatesAndOneStderrLine) {
+  // Release builds too: zero tables (inner would wrap), one table (no unknown
+  // byte) and a table that is not 65536 wide must not be read.
+  DoubleByteTables short_table = RandomTransitions(3, 13);
+  short_table[1].resize(256);
+  for (const DoubleByteTables& transitions :
+       {DoubleByteTables{}, RandomTransitions(1, 13), short_table}) {
+    testing::internal::CaptureStderr();
+    const LazyDoubleCandidateEnumerator enumerator(transitions, 'A', 'B');
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(enumerator.Exhausted()) << transitions.size();
+    EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+    EXPECT_NE(log.find("LazyDoubleCandidateEnumerator"), std::string::npos) << log;
+
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(GenerateCandidatesDouble(transitions, 'A', 'B', 10).empty());
+    testing::internal::GetCapturedStderr();
   }
 }
 

@@ -2,6 +2,8 @@
 #include "src/core/likelihood.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -181,6 +183,67 @@ TEST(LikelihoodTest, DenseDoubleByteMatchesNaiveReference) {
       }
     }
     EXPECT_NEAR(lambda[mu], expected, 1e-6 * std::abs(expected)) << "mu=" << mu;
+  }
+}
+
+// Textbook XOR correlation: one accumulator per mu, starting at 0, summed
+// in ascending c over the nonzero weights, then added into lambda.
+void ReferenceXorCorrelate(const double* weights, const double* log_p,
+                           double* lambda) {
+  for (size_t mu = 0; mu < 256; ++mu) {
+    double sum = 0.0;
+    for (size_t c = 0; c < 256; ++c) {
+      if (weights[c] != 0.0) {
+        sum += weights[c] * log_p[c ^ mu];
+      }
+    }
+    lambda[mu] += sum;
+  }
+}
+
+TEST(LikelihoodTest, XorCorrelateIsBitIdenticalToTextbookLoop) {
+  // memcmp, not a tolerance: any reordering of the per-mu sums shows up.
+  Xoshiro256 rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> log_p(256);
+    for (double& v : log_p) {
+      v = std::log(rng.UnitDouble() + 1e-3);
+    }
+    // Fill shares: all zero, ~100 of 256, fully dense.
+    const double fill = trial % 3 == 0 ? 0.0 : trial % 3 == 1 ? 100.0 / 256 : 1.0;
+    std::vector<double> weights(256, 0.0);
+    for (size_t c = 0; c < 256; ++c) {
+      if (rng.UnitDouble() < fill) {
+        // Integer counts as in the attacks, and arbitrary reals.
+        weights[c] = trial % 2 == 0 ? static_cast<double>(1 + rng.Below(300))
+                                    : rng.UnitDouble() * 50.0 + 1e-9;
+      }
+    }
+    if (fill < 1.0) {
+      // A degenerate log(0) cell under a zero weight must not turn into NaN.
+      size_t zero_cell = rng.Below(256);
+      while (weights[zero_cell] != 0.0) {
+        zero_cell = (zero_cell + 1) & 0xff;
+      }
+      log_p[zero_cell] = -std::numeric_limits<double>::infinity();
+    }
+    // Incoming lambda: zero, or nonzero values including a -0.0 cell (which
+    // only an explicit `+= 0.0` turns into +0.0).
+    std::vector<double> lambda(256, 0.0);
+    if (trial % 4 >= 2) {
+      for (double& v : lambda) {
+        v = (rng.UnitDouble() - 0.5) * 1e4;
+      }
+      lambda[rng.Below(256)] = -0.0;
+    }
+    std::vector<double> expected = lambda;
+    ReferenceXorCorrelate(weights.data(), log_p.data(), expected.data());
+    XorCorrelate256(weights.data(), log_p.data(), lambda.data());
+    ASSERT_EQ(std::memcmp(lambda.data(), expected.data(), 256 * sizeof(double)), 0)
+        << "trial " << trial << " fill " << fill;
+    for (double v : lambda) {
+      ASSERT_FALSE(std::isnan(v)) << "trial " << trial;
+    }
   }
 }
 

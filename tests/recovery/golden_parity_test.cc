@@ -1,15 +1,22 @@
-// Golden-parity pins for the recovery refactor: the TKIP and cookie attacks
-// rewired onto the RecoveryEngine must produce bit-identical candidate
-// orderings and recovery outcomes to the pre-refactor implementations. The
-// reference functions below are verbatim copies of the hand-rolled loops
-// that src/tkip/attack.cc and src/tls/cookie_attack.cc contained before the
-// refactor.
+// Golden-parity pins for the recovery refactors:
+//   * the TKIP and cookie attacks rewired onto the RecoveryEngine must
+//     produce bit-identical candidate orderings and recovery outcomes to the
+//     pre-refactor implementations, verbatim copies of the hand-rolled loops
+//     that src/tkip/attack.cc and src/tls/cookie_attack.cc contained;
+//   * the lazy Algorithm 2 enumerator must yield the same plaintexts with
+//     bitwise-equal scores, in the same order (ties included), as the eager
+//     list decoder it replaced, a verbatim copy of which is below.
 #include <gtest/gtest.h>
 
+#include <cassert>
 #include <cstring>
+#include <numeric>
+#include <queue>
+#include <string>
 
 #include "src/core/candidates.h"
 #include "src/crypto/crc32.h"
+#include "src/recovery/engine.h"
 #include "src/recovery/likelihood_source.h"
 #include "src/sim/cookie_sim.h"
 #include "src/sim/runner.h"
@@ -75,6 +82,120 @@ CookieBruteForceResult ReferenceBruteForceCookie(
     }
   }
   return result;
+}
+
+// The eager Algorithm 2 decoder: every per-(t, value) list is built to n
+// entries before the first candidate comes out.
+struct StreamHeapNode {
+  double score;
+  uint32_t prev_index;
+  uint32_t stream;
+  friend bool operator<(const StreamHeapNode& a, const StreamHeapNode& b) {
+    return a.score < b.score;
+  }
+};
+
+std::vector<uint8_t> FullAlphabet() {
+  std::vector<uint8_t> a(256);
+  std::iota(a.begin(), a.end(), 0);
+  return a;
+}
+
+std::vector<Candidate> ReferenceGenerateCandidatesDouble(
+    const DoubleByteTables& transitions, uint8_t m1, uint8_t m_last, size_t n,
+    std::span<const uint8_t> alphabet) {
+  const std::vector<uint8_t> full =
+      alphabet.empty() ? FullAlphabet() : std::vector<uint8_t>();
+  const std::span<const uint8_t> a = alphabet.empty() ? std::span<const uint8_t>(full)
+                                                      : alphabet;
+  const size_t inner = transitions.size() - 1;  // number of unknown bytes
+  assert(inner >= 1);
+
+  // lists[t][value_index] = N-best entries for prefixes ending in a[value_index]
+  // after consuming transition t. Entries point into lists[t-1].
+  // An entry's `prev` packs (previous value index, index in its list).
+  struct ListEntry {
+    double score;
+    uint32_t prev_value_index;
+    uint32_t prev_list_index;
+  };
+  std::vector<std::vector<std::vector<ListEntry>>> lists(inner);
+
+  // Transition 0: m1 -> first unknown byte.
+  assert(transitions[0].size() == 65536);
+  lists[0].resize(a.size());
+  for (size_t vi = 0; vi < a.size(); ++vi) {
+    const double score = transitions[0][static_cast<size_t>(m1) * 256 + a[vi]];
+    lists[0][vi].push_back(ListEntry{score, 0, 0});
+  }
+
+  // Transitions between unknown bytes.
+  for (size_t t = 1; t < inner; ++t) {
+    assert(transitions[t].size() == 65536);
+    lists[t].resize(a.size());
+    for (size_t vi = 0; vi < a.size(); ++vi) {
+      const uint8_t mu2 = a[vi];
+      // Merge |A| sorted streams: stream ui yields
+      // lists[t-1][ui][j].score + log lambda_t(a[ui], mu2) for j = 0, 1, ...
+      std::priority_queue<StreamHeapNode> heap;
+      for (uint32_t ui = 0; ui < a.size(); ++ui) {
+        if (!lists[t - 1][ui].empty()) {
+          const double trans =
+              transitions[t][static_cast<size_t>(a[ui]) * 256 + mu2];
+          heap.push(StreamHeapNode{lists[t - 1][ui][0].score + trans, 0, ui});
+        }
+      }
+      auto& out_list = lists[t][vi];
+      while (out_list.size() < n && !heap.empty()) {
+        const StreamHeapNode top = heap.top();
+        heap.pop();
+        out_list.push_back(ListEntry{top.score, top.stream, top.prev_index});
+        const auto& src = lists[t - 1][top.stream];
+        if (top.prev_index + 1 < src.size()) {
+          const double trans =
+              transitions[t][static_cast<size_t>(a[top.stream]) * 256 + mu2];
+          heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
+                                   top.prev_index + 1, top.stream});
+        }
+      }
+    }
+  }
+
+  // Final transition: last unknown byte -> m_last. Merge into one list.
+  const auto& final_table = transitions[inner];
+  assert(final_table.size() == 65536);
+  std::priority_queue<StreamHeapNode> heap;
+  for (uint32_t vi = 0; vi < a.size(); ++vi) {
+    if (!lists[inner - 1][vi].empty()) {
+      const double trans = final_table[static_cast<size_t>(a[vi]) * 256 + m_last];
+      heap.push(StreamHeapNode{lists[inner - 1][vi][0].score + trans, 0, vi});
+    }
+  }
+  std::vector<Candidate> out;
+  while (out.size() < n && !heap.empty()) {
+    const StreamHeapNode top = heap.top();
+    heap.pop();
+    Candidate c;
+    c.log_likelihood = top.score;
+    c.plaintext.resize(inner);
+    uint32_t value_index = top.stream;
+    uint32_t list_index = top.prev_index;
+    for (size_t t = inner; t-- > 0;) {
+      c.plaintext[t] = a[value_index];
+      const ListEntry& e = lists[t][value_index][list_index];
+      value_index = e.prev_value_index;
+      list_index = e.prev_list_index;
+    }
+    out.push_back(std::move(c));
+    const auto& src = lists[inner - 1][top.stream];
+    if (top.prev_index + 1 < src.size()) {
+      const double trans =
+          final_table[static_cast<size_t>(a[top.stream]) * 256 + m_last];
+      heap.push(StreamHeapNode{src[top.prev_index + 1].score + trans,
+                               top.prev_index + 1, top.stream});
+    }
+  }
+  return out;
 }
 
 // --- Shared fixtures ------------------------------------------------------
@@ -216,6 +337,129 @@ TEST(GoldenParityTest, CookieBruteForceMatchesPreRefactor) {
   ASSERT_EQ(visited.size(), expected.size());
   for (size_t i = 0; i < visited.size(); ++i) {
     EXPECT_EQ(visited[i], expected[i].plaintext) << "candidate " << i;
+  }
+}
+
+// --- Lazy Algorithm 2 vs. the eager reference -----------------------------
+
+// Transition tables whose cells are small negative integers, so many
+// candidates tie and the heaps' tie order decides the list order.
+DoubleByteTables TieHeavyTransitions(size_t count, uint64_t seed, int levels) {
+  Xoshiro256 rng(seed);
+  DoubleByteTables tables(count, std::vector<double>(65536));
+  for (auto& table : tables) {
+    for (double& v : table) {
+      v = -static_cast<double>(rng.Below(static_cast<uint64_t>(levels)));
+    }
+  }
+  return tables;
+}
+
+// Same plaintexts, bitwise-equal scores, same order.
+void ExpectSameList(const std::vector<Candidate>& got,
+                    const std::vector<Candidate>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].plaintext, want[i].plaintext) << what << " candidate " << i;
+    ASSERT_EQ(std::memcmp(&got[i].log_likelihood, &want[i].log_likelihood,
+                          sizeof(double)),
+              0)
+        << what << " candidate " << i;
+  }
+}
+
+void ExpectLazyMatchesEager(const DoubleByteTables& transitions, uint8_t m1,
+                            uint8_t m_last, std::span<const uint8_t> alphabet,
+                            size_t n, const std::string& what) {
+  const auto want =
+      ReferenceGenerateCandidatesDouble(transitions, m1, m_last, n, alphabet);
+  ExpectSameList(GenerateCandidatesDouble(transitions, m1, m_last, n, alphabet),
+                 want, what);
+  // Drawn one at a time from the enumerator, the first n candidates are the
+  // eager n-best list whatever n is.
+  LazyDoubleCandidateEnumerator enumerator(transitions, m1, m_last, alphabet);
+  std::vector<Candidate> drawn;
+  while (drawn.size() < n && !enumerator.Exhausted()) {
+    drawn.push_back(enumerator.Next());
+  }
+  ExpectSameList(drawn, want, what + " (enumerator)");
+}
+
+TEST(GoldenParityTest, LazyAlgorithm2MatchesEagerOnTieHeavyTables) {
+  const std::vector<uint8_t> alphabet = {'a', 'b', 'c', 'd', 'e', 'f'};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const size_t tables = 2 + seed % 5;  // 1 to 5 unknown bytes
+    const auto transitions = TieHeavyTransitions(tables, seed, 1 + seed % 3);
+    for (size_t n : {size_t{1}, size_t{7}, size_t{100}, size_t{500}}) {
+      ExpectLazyMatchesEager(transitions, 'X', 'Y', alphabet, n,
+                             "seed " + std::to_string(seed) + " n " +
+                                 std::to_string(n));
+    }
+  }
+}
+
+TEST(GoldenParityTest, LazyAlgorithm2MatchesEagerOnOneUnknownByte) {
+  const std::vector<uint8_t> alphabet = {'0', '1', '2', '3', '4', '5', '6', '7'};
+  const auto transitions = TieHeavyTransitions(2, 21, 2);
+  for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{9}}) {
+    ExpectLazyMatchesEager(transitions, '=', ';', alphabet, n,
+                           "n " + std::to_string(n));
+  }
+  ExpectLazyMatchesEager(transitions, '=', ';', {}, 300, "full alphabet");
+}
+
+TEST(GoldenParityTest, LazyAlgorithm2MatchesEagerOnFullAlphabet) {
+  // Empty alphabet = all 256 values; real-valued and tie-heavy tables.
+  Xoshiro256 rng(33);
+  DoubleByteTables real(4, std::vector<double>(65536));
+  for (auto& table : real) {
+    for (double& v : table) {
+      v = -rng.UnitDouble() * 5.0;
+    }
+  }
+  ExpectLazyMatchesEager(real, 'H', 'T', {}, 2000, "real-valued");
+  ExpectLazyMatchesEager(TieHeavyTransitions(3, 34, 3), 'H', 'T', {}, 2000,
+                         "tie-heavy");
+}
+
+TEST(GoldenParityTest, LazyAlgorithm2MatchesEagerAtBudgetEdges) {
+  const std::vector<uint8_t> alphabet = {'p', 'q', 'r'};
+  const auto transitions = TieHeavyTransitions(4, 41, 2);  // 27 candidates
+  // n = 0; n one short of, equal to and beyond |A|^inner.
+  for (size_t n : {size_t{0}, size_t{26}, size_t{27}, size_t{28}, size_t{1000}}) {
+    ExpectLazyMatchesEager(transitions, 'U', 'V', alphabet, n,
+                           "n " + std::to_string(n));
+  }
+  LazyDoubleCandidateEnumerator enumerator(transitions, 'U', 'V', alphabet);
+  for (int i = 0; i < 27; ++i) {
+    ASSERT_FALSE(enumerator.Exhausted()) << i;
+    enumerator.Next();
+  }
+  EXPECT_TRUE(enumerator.Exhausted());
+}
+
+TEST(GoldenParityTest, RecoverDoubleStopsAtTheTruthsReferenceRank) {
+  const std::vector<uint8_t> alphabet = {'a', 'b', 'c', 'd', 'e'};
+  const auto transitions = TieHeavyTransitions(5, 51, 3);
+  const size_t n = 400;
+  const auto reference =
+      ReferenceGenerateCandidatesDouble(transitions, '<', '>', n, alphabet);
+  ASSERT_EQ(reference.size(), n);
+  for (size_t index : {size_t{0}, size_t{1}, size_t{57}, n - 1}) {
+    recovery::RecoveryOptions options;
+    options.max_candidates = n;
+    options.truth = reference[index].plaintext;
+    const recovery::RecoveryEngine engine(options);
+    const auto result = engine.RecoverDouble(
+        transitions, recovery::PairBoundary{'<', '>'}, alphabet,
+        [&](const Bytes& candidate) { return candidate == options.truth; });
+    EXPECT_TRUE(result.found) << index;
+    EXPECT_TRUE(result.correct) << index;
+    EXPECT_EQ(result.candidates_tried, index + 1);
+    EXPECT_EQ(std::memcmp(&result.log_likelihood,
+                          &reference[index].log_likelihood, sizeof(double)),
+              0)
+        << index;
   }
 }
 
