@@ -1,7 +1,12 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected) — the TKIP Integrity Check Value.
+// CRC-32 (IEEE 802.3 polynomial, reflected) — the TKIP Integrity Check Value
+// and the grid store's per-section checksum.
 //
 // The attack in Sect. 5.3 prunes plaintext candidates by recomputing this CRC
-// over the decrypted packet and comparing it to the decrypted ICV field.
+// over the decrypted packet and comparing it to the decrypted ICV field. The
+// grid store (src/store/grid_file.h) checksums every multi-MiB cells section
+// it writes or validates, so the update is sliced: 16 bytes per step through
+// 16 lookup tables, with the one-byte table loop for the tail. Values are
+// those of the plain byte-at-a-time CRC.
 #ifndef SRC_CRYPTO_CRC32_H_
 #define SRC_CRYPTO_CRC32_H_
 

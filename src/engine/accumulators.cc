@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace rc4b {
 
@@ -18,16 +19,16 @@ size_t GridStripes::NextStart() {
 namespace {
 
 // Flush cadence for 16-bit worker tiles, counted in keys: the one bound on
-// tile counts. The largest per-cell probability across our short-term
-// datasets is ~2 * 2^-8 (the Mantin–Shamir Z2 = 0 bias), so per-cell counts
-// stay below ~2^12 per flush — a wide margin under the tile's 2^16 - 1 cap
-// even with batch-sized overshoot. The 64-bit grid cannot wrap.
-constexpr uint64_t kKeysPerFlush = 1 << 19;
+// tile counts. Every short-term sink adds at most one count per key to any
+// tile cell (each grid row is one position or pair), so a tile that has seen
+// at most 2^16 - 1 keys since its last flush cannot have wrapped a cell,
+// whatever the keystream. The 64-bit grid cannot wrap.
+constexpr uint64_t kKeysPerFlush = UINT16_MAX;
 
 // Shard sink shared by all short-term accumulators: a 16-bit tile that
 // flushes straight into the accumulator's final 64-bit grid, one stripe at a
-// time, every kKeysPerFlush keys and once more when the engine retires the
-// shard.
+// time, before a batch would take it past kKeysPerFlush keys and once more
+// when the engine retires the shard.
 class TileShardSink : public ShardSink {
  public:
   TileShardSink(std::span<uint64_t> grid, size_t row_cells, GridStripes& stripes)
@@ -36,6 +37,21 @@ class TileShardSink : public ShardSink {
         row_cells_(row_cells),
         stripes_(stripes),
         start_(stripes.NextStart()) {}
+
+  // Counts the batch in slices of at most kKeysPerFlush rows, flushing first
+  // whenever a slice would overfill the tile.
+  void Consume(const KeystreamBatch& batch) final {
+    for (size_t first = 0; first < batch.rows; first += kKeysPerFlush) {
+      KeystreamBatch slice = batch;
+      slice.data += first * batch.length;
+      slice.rows = std::min<size_t>(batch.rows - first, kKeysPerFlush);
+      if (keys_since_flush_ + slice.rows > kKeysPerFlush) {
+        Flush();
+      }
+      Count(slice);
+      keys_since_flush_ += slice.rows;
+    }
+  }
 
   void Flush() {
     stripes_.ForEach(start_, [&](size_t first, size_t last) {
@@ -46,12 +62,8 @@ class TileShardSink : public ShardSink {
   }
 
  protected:
-  void CountKeysAndMaybeFlush(size_t rows) {
-    keys_since_flush_ += rows;
-    if (keys_since_flush_ >= kKeysPerFlush) {
-      Flush();
-    }
-  }
+  // Adds the batch's keys to the tile, at most one count per key per cell.
+  virtual void Count(const KeystreamBatch& batch) = 0;
 
   WorkerTile tile_;
 
@@ -68,7 +80,8 @@ class SingleByteShardSink : public TileShardSink {
   SingleByteShardSink(SingleByteGrid& grid, GridStripes& stripes)
       : TileShardSink(grid.MutableCells(), 256, stripes), positions_(grid.positions()) {}
 
-  void Consume(const KeystreamBatch& batch) override {
+ private:
+  void Count(const KeystreamBatch& batch) override {
     // Position-major: all rows hit one 256-cell tile region before moving
     // on, so the working set per step is a few cache lines instead of the
     // whole tile (the add order changes, the counts cannot).
@@ -78,10 +91,8 @@ class SingleByteShardSink : public TileShardSink {
         tile_.Add(pos * 256 + column[r * batch.length]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
- private:
   size_t positions_;
 };
 
@@ -91,7 +102,8 @@ class ConsecutiveShardSink : public TileShardSink {
       : TileShardSink(grid.MutableCells(), 65536, stripes),
         positions_(grid.positions()) {}
 
-  void Consume(const KeystreamBatch& batch) override {
+ private:
+  void Count(const KeystreamBatch& batch) override {
     // Position-major (see SingleByteShardSink): for a 256-position digraph
     // tile the row-major order walked ~33 MB per key; this keeps each
     // position's 128 KB region hot for the whole batch. Cells are still
@@ -109,10 +121,8 @@ class ConsecutiveShardSink : public TileShardSink {
         tile_.Add(pos * 65536 + static_cast<size_t>(pair[0]) * 256 + pair[1]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
- private:
   size_t positions_;
 };
 
@@ -122,7 +132,8 @@ class PairShardSink : public TileShardSink {
                 DigraphGrid& grid, GridStripes& stripes)
       : TileShardSink(grid.MutableCells(), 65536, stripes), pairs_(pairs) {}
 
-  void Consume(const KeystreamBatch& batch) override {
+ private:
+  void Count(const KeystreamBatch& batch) override {
     // Pair-major for the same cache reasons as the other short-term sinks.
     for (size_t p = 0; p < pairs_.size(); ++p) {
       const size_t a = pairs_[p].first - 1;
@@ -133,10 +144,8 @@ class PairShardSink : public TileShardSink {
                   keystream[b]);
       }
     }
-    CountKeysAndMaybeFlush(batch.rows);
   }
 
- private:
   const std::vector<std::pair<uint32_t, uint32_t>>& pairs_;
 };
 

@@ -32,22 +32,24 @@ store::GridMeta WantedShardMeta(const store::Manifest& manifest, uint32_t index)
 
 // Full validation of a shard's final grid: readable, CRCs good, same
 // dataset, exact key range. This is the scheduler's defense against workers
-// that exited 0 over an artifact corrupted after commit (crc-flip).
+// that exited 0 over an artifact corrupted after commit (crc-flip). The
+// view checks everything ReadGridFile does without copying the cells.
 IoStatus ValidateShardFinal(const store::Manifest& manifest, uint32_t index,
                             const std::string& final_path) {
-  store::StoredGrid grid;
-  if (IoStatus status = store::ReadGridFile(final_path, &grid); !status.ok()) {
+  store::GridFileView grid;
+  if (IoStatus status = grid.Open(final_path); !status.ok()) {
     return status;
   }
   const store::GridMeta want = WantedShardMeta(manifest, index);
-  if (IoStatus status = store::CheckSameDataset(want, grid.meta, final_path);
+  if (IoStatus status = store::CheckSameDataset(want, grid.meta(), final_path);
       !status.ok()) {
     return status;
   }
-  if (grid.meta.key_begin != want.key_begin || grid.meta.key_end != want.key_end) {
+  if (grid.meta().key_begin != want.key_begin ||
+      grid.meta().key_end != want.key_end) {
     return IoStatus::Fail(final_path + ": covers keys [" +
-                          std::to_string(grid.meta.key_begin) + ", " +
-                          std::to_string(grid.meta.key_end) +
+                          std::to_string(grid.meta().key_begin) + ", " +
+                          std::to_string(grid.meta().key_end) +
                           "), shard owns [" + std::to_string(want.key_begin) +
                           ", " + std::to_string(want.key_end) + ")");
   }
@@ -62,16 +64,17 @@ uint64_t ShardProgressKeys(const store::Manifest& manifest, uint32_t index,
   if (ValidateShardFinal(manifest, index, final_path).ok()) {
     return shard.key_end - shard.key_begin;
   }
-  store::StoredGrid ckpt;
-  if (!store::ReadGridFile(store::CheckpointPath(final_path), &ckpt).ok()) {
+  store::GridFileView ckpt;
+  if (!ckpt.Open(store::CheckpointPath(final_path)).ok()) {
     return 0;
   }
   const store::GridMeta want = WantedShardMeta(manifest, index);
-  if (!store::CheckSameDataset(want, ckpt.meta, final_path).ok() ||
-      ckpt.meta.key_begin != shard.key_begin || ckpt.meta.key_end > shard.key_end) {
+  if (!store::CheckSameDataset(want, ckpt.meta(), final_path).ok() ||
+      ckpt.meta().key_begin != shard.key_begin ||
+      ckpt.meta().key_end > shard.key_end) {
     return 0;
   }
-  return ckpt.meta.key_end - shard.key_begin;
+  return ckpt.meta().key_end - shard.key_begin;
 }
 
 bool PathExists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
@@ -241,11 +244,12 @@ size_t CampaignScheduler::QuarantineInvalidArtifacts(uint32_t index) {
   };
   set_aside(final_path, ValidateShardFinal(manifest_, index, final_path).ok());
   const store::GridMeta want = WantedShardMeta(manifest_, index);
-  store::StoredGrid ckpt;
+  store::GridFileView ckpt;
   const bool ckpt_valid =
-      store::ReadGridFile(ckpt_path, &ckpt).ok() &&
-      store::CheckSameDataset(want, ckpt.meta, ckpt_path).ok() &&
-      ckpt.meta.key_begin == want.key_begin && ckpt.meta.key_end <= want.key_end;
+      ckpt.Open(ckpt_path).ok() &&
+      store::CheckSameDataset(want, ckpt.meta(), ckpt_path).ok() &&
+      ckpt.meta().key_begin == want.key_begin &&
+      ckpt.meta().key_end <= want.key_end;
   set_aside(ckpt_path, ckpt_valid);
   return moved;
 }

@@ -145,10 +145,9 @@ class DigraphGrid {
   uint64_t keys_ = 0;
 };
 
-// 16-bit worker-local tile that flushes into a 64-bit grid. A cell wraps
-// silently past 2^16 - 1 Add()s between flushes; the engine's flush cadence
-// and why it stays under that cap are stated once, at kKeysPerFlush in
-// src/engine/accumulators.cc.
+// 16-bit worker-local tile that flushes into a 64-bit grid. A cell would wrap
+// past 2^16 - 1 Add()s between flushes; the engine's sinks flush often enough
+// that it cannot (kKeysPerFlush in src/engine/accumulators.cc).
 class WorkerTile {
  public:
   explicit WorkerTile(size_t cells) : counts_(cells, 0) {}

@@ -102,22 +102,24 @@ IoStatus RunShard(const Manifest& manifest, const std::string& manifest_path,
   // Idempotence: an existing valid final grid for this exact slice is done.
   // An existing final file that fails validation (corrupt, or provenance
   // from some other dataset) is a loud error, never silently overwritten.
+  // Only the verdict and the meta are needed, so the cells are not copied.
   if (PathExists(final_path)) {
-    StoredGrid existing;
-    if (IoStatus status = ReadGridFile(final_path, &existing); !status.ok()) {
+    GridFileView existing;
+    if (IoStatus status = existing.Open(final_path); !status.ok()) {
       return IoStatus::Fail("existing shard output is invalid (" +
                             status.message() +
                             "); remove the file to regenerate");
     }
-    if (IoStatus status = CheckSameDataset(shard_meta, existing.meta, final_path);
+    if (IoStatus status =
+            CheckSameDataset(shard_meta, existing.meta(), final_path);
         !status.ok()) {
       return status;
     }
-    if (existing.meta.key_begin != shard.key_begin ||
-        existing.meta.key_end != shard.key_end) {
+    if (existing.meta().key_begin != shard.key_begin ||
+        existing.meta().key_end != shard.key_end) {
       return IoStatus::Fail(final_path + ": existing file covers keys [" +
-                            std::to_string(existing.meta.key_begin) + ", " +
-                            std::to_string(existing.meta.key_end) +
+                            std::to_string(existing.meta().key_begin) + ", " +
+                            std::to_string(existing.meta().key_end) +
                             "), shard owns [" + std::to_string(shard.key_begin) +
                             ", " + std::to_string(shard.key_end) + ")");
     }

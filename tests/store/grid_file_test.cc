@@ -1,5 +1,6 @@
 #include "src/store/grid_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -75,6 +76,21 @@ TEST(GridFileTest, RoundTripsEveryKindBitExactly) {
     ASSERT_EQ(view.cells().size(), grid.cells.size());
     std::remove(path.c_str());
   }
+}
+
+// The checked-in fuzz seed was written before the CRC was sliced; it must
+// keep validating, and its cells must still be the grid they describe.
+TEST(GridFileTest, ReadsGridWrittenByEarlierCrc) {
+  StoredGrid stored;
+  const IoStatus status = ReadGridFile(
+      RC4B_SOURCE_DIR "/tests/fuzz/corpus/fuzz_grid_file/valid", &stored);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_EQ(stored.meta.kind, GridKind::kSingleByte);
+  EXPECT_EQ(stored.meta.keys(), 32u);
+  EXPECT_EQ(stored.meta.rows, 2u);
+  const StoredGrid regenerated = GenerateStoredGrid(stored.meta, 1, 1);
+  EXPECT_TRUE(std::equal(stored.cells.begin(), stored.cells.end(),
+                         regenerated.cells.begin(), regenerated.cells.end()));
 }
 
 TEST(GridFileTest, RejectsTruncatedFile) {
