@@ -311,6 +311,27 @@ void BM_EngineDigraphStats(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDigraphStats)->Args({1, 1})->Args({1, 0})->Args({0, 0});
 
+// Long-term digraph accumulation (Table 1): 64 keys x 256 KiB per call on
+// one worker, one lockstep group at the widest lane width, at the window
+// size given by the argument. The grid persists across iterations.
+void BM_EngineLongTermDigraphStats(benchmark::State& state) {
+  LongTermEngineOptions options;
+  options.keys = 64;
+  options.bytes_per_key = uint64_t{1} << 18;
+  options.workers = 1;
+  options.seed = 21;
+  options.chunk_bytes = static_cast<size_t>(state.range(0));
+  LongTermDigraphAccumulator accumulator;
+  for (auto _ : state) {
+    RunLongTermEngine(options, accumulator);
+    options.first_key += options.keys;
+  }
+  benchmark::DoNotOptimize(accumulator.grid().keys());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(options.keys * options.bytes_per_key));
+}
+BENCHMARK(BM_EngineLongTermDigraphStats)->Arg(1 << 16)->Arg(1 << 18);
+
 // Candidate generation throughput (paper: 20000 cookies tested per second,
 // dominated by candidate generation + HTTP pipelining).
 void BM_LazyCandidateEnumeration(benchmark::State& state) {

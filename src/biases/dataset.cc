@@ -46,8 +46,9 @@ LongTermEngineOptions ToLongTermOptions(const LongTermOptions& options) {
   engine.interleave = options.interleave;
   engine.kernel = options.kernel;
   engine.first_key = options.first_key;
-  // 64 KiB windows; the engine consumes every whole 256-byte block of
-  // bytes_per_key regardless of the window size.
+  // The engine's default 256 KiB windows (see LongTermEngineOptions); it
+  // consumes every whole 256-byte block of bytes_per_key regardless of the
+  // window size.
   return engine;
 }
 

@@ -194,30 +194,60 @@ void PairAccumulator::MergeShard(ShardSink& shard, uint64_t keys) {
 
 namespace {
 
-// Holds no counters: every window adds straight into the accumulator's
-// grid, one stripe of counter classes at a time.
+// Holds no counters: every group of windows adds straight into the
+// accumulator's grid, one stripe of counter classes at a time.
 class LongTermDigraphShardSink : public StreamShardSink {
  public:
   LongTermDigraphShardSink(DigraphGrid& grid, GridStripes& stripes)
       : grid_(grid.MutableCells()), stripes_(stripes), start_(stripes.NextStart()) {}
 
   void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) override {
-    // chunk_bytes is a 256-multiple and owned positions restart at 0 each
-    // key, so owned position `off` always sits at counter class off % 256.
-    // Class-major within a stripe: one class's 512 KB grid row takes every
-    // block's digraph before the walk moves on. The cells are random within
-    // the row, so prefetch kPrefetchBlocks blocks ahead.
-    constexpr size_t kPrefetchBlocks = 32;
+    ConsumeGroup(chunk, 1, chunk.size(), owned);
+  }
+
+  // chunk_bytes is a 256-multiple and owned positions restart at 0 each key,
+  // so owned position `off` of every window sits at counter class off % 256.
+  // A class's 512 KiB grid row is visited once per stripe walk and takes all
+  // n = lanes * owned / 256 of its digraphs from the whole group, which is
+  // what keeps the row in cache: with 64 lanes of 256 KiB windows, n = 65536.
+  void ConsumeGroup(std::span<const uint8_t> rows, size_t lanes, size_t stride,
+                    size_t owned) override {
+    constexpr size_t kRowCells = 65536;
+    constexpr size_t kCellsPerLine = kCacheLineBytes / sizeof(uint64_t);
+    const size_t n = lanes * (owned / 256);
+    // A power-of-two pitch would map every list's head onto one L1 set.
+    const size_t pitch = n + 32;
     stripes_.ForEach(start_, [&](size_t first, size_t last) {
-      for (size_t off = first; off < last; ++off) {
-        uint64_t* row = grid_.data() + off * 65536;
-        const uint8_t* pair = chunk.data() + off;
-        for (size_t base = 0; base < owned; base += 256, pair += 256) {
-          if (base + kPrefetchBlocks * 256 < owned) {
-            const uint8_t* ahead = pair + kPrefetchBlocks * 256;
-            __builtin_prefetch(row + static_cast<size_t>(ahead[0]) * 256 + ahead[1], 1);
+      const size_t classes = last - first;
+      if (lists_.size() < classes * pitch) {
+        lists_.resize(classes * pitch);
+      }
+      // Gather: the stripe's digraphs, class-major, as Z_r << 8 | Z_{r+1}.
+      uint16_t* out = lists_.data();
+      for (size_t m = 0; m < lanes; ++m) {
+        const uint8_t* block = rows.data() + m * stride + first;
+        for (size_t base = 0; base < owned; base += 256, block += 256, ++out) {
+          for (size_t c = 0; c < classes; ++c) {
+            out[c * pitch] = static_cast<uint16_t>(block[c] << 8 | block[c + 1]);
           }
-          row[static_cast<size_t>(pair[0]) * 256 + pair[1]] += 1;
+        }
+      }
+      // Walk each class row once, streaming the next class's row into cache
+      // one line per kCellsPerLine increments, never past its end.
+      for (size_t c = 0; c < classes; ++c) {
+        uint64_t* row = grid_.data() + (first + c) * kRowCells;
+        const uint16_t* list = lists_.data() + c * pitch;
+        const size_t ahead =
+            c + 1 < classes ? std::min(n / kCellsPerLine * kCellsPerLine, kRowCells) : 0;
+        size_t j = 0;
+        for (; j < ahead; j += kCellsPerLine) {
+          __builtin_prefetch(row + kRowCells + j, 1);
+          for (size_t i = 0; i < kCellsPerLine; ++i) {
+            row[list[j + i]] += 1;
+          }
+        }
+        for (; j < n; ++j) {
+          row[list[j]] += 1;
         }
       }
     });
@@ -227,6 +257,8 @@ class LongTermDigraphShardSink : public StreamShardSink {
   std::span<uint64_t> grid_;
   GridStripes& stripes_;
   size_t start_;
+  // Per-class digraph lists of the stripe being walked, `pitch` apart.
+  std::vector<uint16_t> lists_;
 };
 
 class AbsabShardSink : public StreamShardSink {

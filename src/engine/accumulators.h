@@ -11,9 +11,9 @@
 // There is one layer of counters per grid: the accumulator's final 64-bit
 // grid. Grid sinks add straight into it under the accumulator's row-striped
 // locks (GridStripes). Short-term sinks count into a 16-bit worker tile first
-// and flush it stripe by stripe; the long-term digraph sink adds each window
-// directly. The ABSAB and aligned-pair sinks keep small shard-local 64-bit
-// blocks that MergeShard() adds in once per shard.
+// and flush it stripe by stripe; the long-term digraph sink adds each
+// lockstep group of windows directly. The ABSAB and aligned-pair sinks keep
+// small shard-local 64-bit blocks that MergeShard() adds in once per shard.
 #ifndef SRC_ENGINE_ACCUMULATORS_H_
 #define SRC_ENGINE_ACCUMULATORS_H_
 

@@ -141,7 +141,7 @@ void StreamKeysScalar(Rc4KeyGenerator& keygen, StreamShardSink& sink,
 
 // `count` keys through one sink: groups of Width() keys generated in
 // lockstep into per-lane chunk buffers (rows of `buffer`, stride chunk +
-// lookahead), windows delivered round-robin in key order (see the
+// lookahead), each window step delivered as one group (see the
 // StreamShardSink ordering note in keystream_engine.h), then a scalar
 // remainder for the leftover keys.
 void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
@@ -150,6 +150,11 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
                           uint8_t* keybuf) {
   const size_t lanes = kernel.Width();
   const size_t stride = plan.chunk + plan.lookahead;
+  const auto consume_group = [&](size_t owned) {
+    sink.ConsumeGroup(std::span<const uint8_t>(
+                          buffer, (lanes - 1) * stride + owned + plan.lookahead),
+                      lanes, stride, owned);
+  };
   uint64_t k = 0;
   for (; k + lanes <= count; k += lanes) {
     keygen.NextKeys(std::span<uint8_t>(keybuf, lanes * kKeySize));
@@ -163,11 +168,7 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
     kernel.Keystream(buffer, plan.lookahead, stride);
     for (uint64_t c = 0; c < plan.full_chunks; ++c) {
       kernel.Keystream(buffer + plan.lookahead, plan.chunk, stride);
-      for (size_t m = 0; m < lanes; ++m) {
-        sink.ConsumeChunk(std::span<const uint8_t>(buffer + m * stride,
-                                                   plan.chunk + plan.lookahead),
-                          plan.chunk);
-      }
+      consume_group(plan.chunk);
       if (plan.lookahead != 0) {
         for (size_t m = 0; m < lanes; ++m) {
           std::memmove(buffer + m * stride, buffer + m * stride + plan.chunk,
@@ -177,11 +178,7 @@ void StreamKeysWithKernel(Rc4LaneKernel& kernel, Rc4KeyGenerator& keygen,
     }
     if (plan.tail != 0) {
       kernel.Keystream(buffer + plan.lookahead, plan.tail, stride);
-      for (size_t m = 0; m < lanes; ++m) {
-        sink.ConsumeChunk(std::span<const uint8_t>(buffer + m * stride,
-                                                   plan.tail + plan.lookahead),
-                          plan.tail);
-      }
+      consume_group(plan.tail);
     }
   }
   StreamKeysScalar(keygen, sink, count - k, plan, buffer);
@@ -237,14 +234,16 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 
 void RunLongTermEngine(const LongTermEngineOptions& options,
                        StreamAccumulator& accumulator) {
-  StreamPlan plan;
-  plan.lookahead = accumulator.Lookahead();
-  plan.chunk = std::max<size_t>(options.chunk_bytes, 256);
-  assert(plan.chunk % 256 == 0);
   // bytes_per_key rounds down to whole 256-byte blocks only; a trailing
   // window smaller than chunk_bytes is processed separately so the chunk
-  // size never changes the sample count.
+  // size never changes the sample count. A window never exceeds the stream,
+  // so short streams keep small buffers.
   const uint64_t owned_per_key = options.bytes_per_key / 256 * 256;
+  StreamPlan plan;
+  plan.lookahead = accumulator.Lookahead();
+  plan.chunk = static_cast<size_t>(std::max<uint64_t>(
+      std::min<uint64_t>(options.chunk_bytes, owned_per_key), 256));
+  assert(options.chunk_bytes % 256 == 0);
   plan.full_chunks = owned_per_key / plan.chunk;
   plan.tail = static_cast<size_t>(owned_per_key % plan.chunk);
   plan.drop = options.drop + accumulator.ExtraDrop();
@@ -259,13 +258,17 @@ void RunLongTermEngine(const LongTermEngineOptions& options,
       std::lock_guard<std::mutex> lock(merge_mutex);
       sink = accumulator.MakeShard();
     }
+    // A shard too small for one lockstep group runs the scalar path in a
+    // single buffer row.
+    const bool lockstep = choice.width > 1 && end - begin >= choice.width;
     std::unique_ptr<Rc4LaneKernel> kernel =
-        choice.width > 1 ? choice.kernel->make(choice.width) : nullptr;
-    assert(choice.width == 1 || kernel != nullptr);  // resolution guarantees it
+        lockstep ? choice.kernel->make(choice.width) : nullptr;
+    assert(!lockstep || kernel != nullptr);  // resolution guarantees it
     std::vector<uint8_t> keybuf(choice.width * kKeySize);
     // One chunk-buffer row per lockstep lane, cache-aligned like the
     // short-term batch buffer.
-    AlignedVector<uint8_t> buffer(choice.width * (plan.chunk + plan.lookahead), 0);
+    AlignedVector<uint8_t> buffer(
+        (lockstep ? choice.width : 1) * (plan.chunk + plan.lookahead), 0);
     if (kernel != nullptr) {
       StreamKeysWithKernel(*kernel, keygen, *sink, end - begin, plan,
                            buffer.data(), keybuf.data());

@@ -126,6 +126,14 @@ void RunKeystreamEngine(const EngineOptions& options, BiasAccumulator& accumulat
 // commutative per-window counters (all current ones) are unaffected; a sink
 // that needs strictly sequential per-key delivery must be run with
 // LongTermEngineOptions::interleave = 1.
+//
+// A lockstep group's windows arrive in one ConsumeGroup() call: `lanes`
+// windows of equal length, lane m's starting at rows[m * stride], the last
+// one ending where `rows` ends, each owning its first `owned` positions. The
+// default hands them to ConsumeChunk() lane by lane, in key order; a sink
+// may instead walk the whole group at once (the long-term digraph sink does).
+// The scalar path and the remainder keys after the last group call
+// ConsumeChunk() directly.
 class StreamShardSink {
  public:
   virtual ~StreamShardSink() = default;
@@ -134,6 +142,14 @@ class StreamShardSink {
   virtual void BeginKey() {}
 
   virtual void ConsumeChunk(std::span<const uint8_t> chunk, size_t owned) = 0;
+
+  virtual void ConsumeGroup(std::span<const uint8_t> rows, size_t lanes,
+                            size_t stride, size_t owned) {
+    const size_t window = rows.size() - (lanes - 1) * stride;
+    for (size_t m = 0; m < lanes; ++m) {
+      ConsumeChunk(rows.subspan(m * stride, window), owned);
+    }
+  }
 };
 
 class StreamAccumulator {
@@ -162,7 +178,11 @@ struct LongTermEngineOptions {
   unsigned workers = 0;
   uint64_t seed = 1;
   uint64_t first_key = 0;  // global key-range offset (see EngineOptions)
-  size_t chunk_bytes = 1 << 16;  // owned bytes per window (multiple of 256)
+  // Owned bytes per window (multiple of 256), capped at the per-key stream.
+  // A lockstep group of W lanes holds W windows: W * chunk_bytes / 256
+  // digraphs per counter class per group, in a W * (chunk_bytes + lookahead)
+  // buffer per worker (16 MiB at 64 lanes).
+  size_t chunk_bytes = 1 << 18;
   // Keys generated in lockstep per shard (see EngineOptions::interleave and
   // the StreamShardSink window-ordering note above). 0 = auto, 1 = scalar.
   size_t interleave = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <thread>
 
 #include <sys/wait.h>
@@ -56,6 +57,24 @@ IoStatus ValidateShardFinal(const store::Manifest& manifest, uint32_t index,
   return IoStatus::Ok();
 }
 
+// The keys a shard's checkpoint covers, if it is a valid one: readable, CRCs
+// good, same dataset, and a prefix of the shard's key range.
+std::optional<uint64_t> ValidCheckpointKeys(const store::Manifest& manifest,
+                                            uint32_t index,
+                                            const std::string& ckpt_path) {
+  store::GridFileView ckpt;
+  if (!ckpt.Open(ckpt_path).ok()) {
+    return std::nullopt;
+  }
+  const store::GridMeta want = WantedShardMeta(manifest, index);
+  if (!store::CheckSameDataset(want, ckpt.meta(), ckpt_path).ok() ||
+      ckpt.meta().key_begin != want.key_begin ||
+      ckpt.meta().key_end > want.key_end) {
+    return std::nullopt;
+  }
+  return ckpt.meta().key_end - want.key_begin;
+}
+
 // Keys completed per on-disk provenance: the final grid if valid, else a
 // valid checkpoint's covered prefix, else zero.
 uint64_t ShardProgressKeys(const store::Manifest& manifest, uint32_t index,
@@ -64,17 +83,8 @@ uint64_t ShardProgressKeys(const store::Manifest& manifest, uint32_t index,
   if (ValidateShardFinal(manifest, index, final_path).ok()) {
     return shard.key_end - shard.key_begin;
   }
-  store::GridFileView ckpt;
-  if (!ckpt.Open(store::CheckpointPath(final_path)).ok()) {
-    return 0;
-  }
-  const store::GridMeta want = WantedShardMeta(manifest, index);
-  if (!store::CheckSameDataset(want, ckpt.meta(), final_path).ok() ||
-      ckpt.meta().key_begin != shard.key_begin ||
-      ckpt.meta().key_end > shard.key_end) {
-    return 0;
-  }
-  return ckpt.meta().key_end - shard.key_begin;
+  return ValidCheckpointKeys(manifest, index, store::CheckpointPath(final_path))
+      .value_or(0);
 }
 
 bool PathExists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
@@ -243,14 +253,7 @@ size_t CampaignScheduler::QuarantineInvalidArtifacts(uint32_t index) {
     }
   };
   set_aside(final_path, ValidateShardFinal(manifest_, index, final_path).ok());
-  const store::GridMeta want = WantedShardMeta(manifest_, index);
-  store::GridFileView ckpt;
-  const bool ckpt_valid =
-      ckpt.Open(ckpt_path).ok() &&
-      store::CheckSameDataset(want, ckpt.meta(), ckpt_path).ok() &&
-      ckpt.meta().key_begin == want.key_begin &&
-      ckpt.meta().key_end <= want.key_end;
-  set_aside(ckpt_path, ckpt_valid);
+  set_aside(ckpt_path, ValidCheckpointKeys(manifest_, index, ckpt_path).has_value());
   return moved;
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/biases/bias_scan.h"
 #include "src/biases/dataset.h"
 #include "src/engine/accumulators.h"
+#include "src/rc4/keygen.h"
+#include "src/rc4/rc4.h"
 
 namespace rc4b {
 namespace {
@@ -208,6 +212,59 @@ TEST(LongTermEngineTest, ChunkSizeDoesNotChangeCounts) {
   ExpectGridsEqual(coarse.grid(), uneven.grid());
   // Every whole 256-byte block must be consumed: 65 blocks per key.
   EXPECT_EQ(coarse.grid().keys(), 4u * (options.bytes_per_key / 256));
+}
+
+// The long-term digraph grid against a plain count off the scalar Rc4: each
+// (Z_r, Z_{r+1}) of every key lands in class (r - 1) mod 256. The other
+// long-term tests compare the engine with itself, where both sides run the
+// same walk. 70 keys are one 64-lane group plus scalar remainder keys (at
+// auto width, one worker), and 4 workers walk the stripes concurrently.
+// bytes_per_key is not a multiple of 3 * 256 or of 2^18, so those windows
+// leave a tail; chunk 256 gives each class visit fewer than 8 digraphs per
+// lane, and a full 64-lane 2^18 group streams whole next-class rows.
+TEST(LongTermEngineTest, DigraphGridMatchesTextbookCount) {
+  LongTermEngineOptions options;
+  options.keys = 70;
+  options.bytes_per_key = (uint64_t{1} << 18) + 3 * 256;
+  options.drop = 1024;
+  options.seed = 23;
+
+  std::vector<uint32_t> expected(256 * 65536, 0);
+  Rc4KeyGenerator keygen(options.seed);
+  std::vector<uint8_t> z(options.bytes_per_key + 1);
+  for (uint64_t k = 0; k < options.keys; ++k) {
+    const auto key = keygen.NextKey();
+    Rc4 rc4(key);
+    rc4.Skip(options.drop);
+    rc4.Keystream(z);
+    for (size_t r = 1; r <= options.bytes_per_key; ++r) {
+      expected[(r - 1) % 256 * 65536 + size_t{z[r - 1]} * 256 + z[r]] += 1;
+    }
+  }
+
+  for (const unsigned workers : {1u, 4u}) {
+    for (const size_t chunk : {size_t{256}, size_t{3 * 256}, size_t{1} << 18}) {
+      options.workers = workers;
+      options.chunk_bytes = chunk;
+      LongTermDigraphAccumulator accumulator;
+      RunLongTermEngine(options, accumulator);
+      const DigraphGrid& grid = accumulator.grid();
+      EXPECT_EQ(grid.keys(), options.keys * (options.bytes_per_key / 256));
+      size_t mismatches = 0;
+      size_t first_mismatch = 0;
+      for (size_t pos = 0; pos < 256; ++pos) {
+        const auto row = grid.Row(pos);
+        for (size_t cell = 0; cell < 65536; ++cell) {
+          if (row[cell] != expected[pos * 65536 + cell] && mismatches++ == 0) {
+            first_mismatch = pos * 65536 + cell;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "workers=" << workers << " chunk=" << chunk
+                                << " first at class=" << first_mismatch / 65536
+                                << " cell=" << first_mismatch % 65536;
+    }
+  }
 }
 
 }  // namespace
