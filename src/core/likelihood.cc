@@ -4,13 +4,17 @@
 #include <cassert>
 #include <cmath>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace rc4b {
 
-void XorCorrelate256(const double* weights, const double* log_p, double* lambda) {
-  // The nonzero (c, w) pairs in ascending c: zero cells contribute nothing,
-  // and skipping them keeps a -inf log_p cell from turning 0 * -inf into NaN.
-  uint8_t cs[256] = {};
-  double ws[256] = {};
+namespace {
+
+// The nonzero (c, w) pairs in ascending c: zero cells contribute nothing,
+// and skipping them keeps a -inf log_p cell from turning 0 * -inf into NaN.
+size_t GatherNonzero(const double* weights, uint8_t* cs, double* ws) {
   size_t nonzero = 0;
   for (size_t c = 0; c < 256; ++c) {
     if (weights[c] != 0.0) {
@@ -19,15 +23,77 @@ void XorCorrelate256(const double* weights, const double* log_p, double* lambda)
       ++nonzero;
     }
   }
-  // shifted[x][i] = log_p[i ^ x]. For an 8-aligned mu block blk, the cells
-  // log_p[c ^ (blk + k)], k = 0..7, are the contiguous run
-  // shifted[c & 7][((c & ~7) ^ blk) + k].
-  alignas(64) double shifted[8][256];
+  return nonzero;
+}
+
+// shifted[x][i] = log_p[i ^ x]. For an 8-aligned mu block blk, the cells
+// log_p[c ^ (blk + k)], k = 0..7, are the contiguous run
+// shifted[c & 7][((c & ~7) ^ blk) + k].
+void BuildShifted(const double* log_p, double (*shifted)[256]) {
   for (size_t x = 0; x < 8; ++x) {
     for (size_t i = 0; i < 256; ++i) {
       shifted[x][i] = log_p[i ^ x];
     }
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// Compiled for AVX2 through the function attribute alone, so this file needs
+// no ISA flag; only called after the CPU check in CpuHasAvx2(). The target
+// string must not name "fma": gcc would then contract the separate multiply
+// and add below into one rounding, and the tables would change bits.
+__attribute__((target("avx2"))) void XorCorrelate256Avx2(const double* weights,
+                                                         const double* log_p,
+                                                         double* lambda) {
+  uint8_t cs[256] = {};
+  double ws[256] = {};
+  const size_t nonzero = GatherNonzero(weights, cs, ws);
+  alignas(64) double shifted[8][256];
+  BuildShifted(log_p, shifted);
+  // Two 8-wide mu blocks per pass over the nonzero list, one ymm accumulator
+  // per 4 mu; each lane is the scalar kernel's per-mu sum, in the same
+  // ascending-c order and with the same separate roundings.
+  for (size_t blk = 0; blk < 256; blk += 16) {
+    __m256d s0 = _mm256_setzero_pd();
+    __m256d s1 = _mm256_setzero_pd();
+    __m256d s2 = _mm256_setzero_pd();
+    __m256d s3 = _mm256_setzero_pd();
+    for (size_t j = 0; j < nonzero; ++j) {
+      const __m256d w = _mm256_set1_pd(ws[j]);
+      const double* base = shifted[cs[j] & 7];
+      const size_t hi = cs[j] & ~size_t{7};
+      const double* row0 = base + (hi ^ blk);
+      const double* row1 = base + (hi ^ (blk + 8));
+      s0 = _mm256_add_pd(s0, _mm256_mul_pd(w, _mm256_load_pd(row0)));
+      s1 = _mm256_add_pd(s1, _mm256_mul_pd(w, _mm256_load_pd(row0 + 4)));
+      s2 = _mm256_add_pd(s2, _mm256_mul_pd(w, _mm256_load_pd(row1)));
+      s3 = _mm256_add_pd(s3, _mm256_mul_pd(w, _mm256_load_pd(row1 + 4)));
+    }
+    double* out = lambda + blk;
+    _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), s0));
+    _mm256_storeu_pd(out + 4, _mm256_add_pd(_mm256_loadu_pd(out + 4), s1));
+    _mm256_storeu_pd(out + 8, _mm256_add_pd(_mm256_loadu_pd(out + 8), s2));
+    _mm256_storeu_pd(out + 12, _mm256_add_pd(_mm256_loadu_pd(out + 12), s3));
+  }
+}
+
+bool CpuHasAvx2() {
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+}
+
+#endif
+
+}  // namespace
+
+void XorCorrelate256Scalar(const double* weights, const double* log_p,
+                           double* lambda) {
+  uint8_t cs[256] = {};
+  double ws[256] = {};
+  const size_t nonzero = GatherNonzero(weights, cs, ws);
+  alignas(64) double shifted[8][256];
+  BuildShifted(log_p, shifted);
   for (size_t blk = 0; blk < 256; blk += 8) {
     // One accumulator per mu, summed in ascending c: the naive loop's order.
     double s[8] = {};
@@ -42,6 +108,16 @@ void XorCorrelate256(const double* weights, const double* log_p, double* lambda)
       lambda[blk + k] += s[k];
     }
   }
+}
+
+void XorCorrelate256(const double* weights, const double* log_p, double* lambda) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (CpuHasAvx2()) {
+    XorCorrelate256Avx2(weights, log_p, lambda);
+    return;
+  }
+#endif
+  XorCorrelate256Scalar(weights, log_p, lambda);
 }
 
 std::vector<double> LogProbabilities(std::span<const double> probabilities) {

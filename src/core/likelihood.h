@@ -43,7 +43,14 @@ inline double SafeLog(double p) {
 // results are bit-identical to the naive skip-zero loop
 // (tests/core/likelihood_test.cc pins this with memcmp). Skipping zero
 // weights also keeps a -inf in log_p from turning 0 * -inf into NaN.
+//
+// On x86 CPUs with AVX2 the kernel runs two mu blocks per pass in 4-wide
+// vectors: the same per-mu sums with separate multiplies and adds (no FMA),
+// so the bits do not depend on the CPU. Other hosts run
+// XorCorrelate256Scalar, which tests also call directly.
 void XorCorrelate256(const double* weights, const double* log_p, double* lambda);
+void XorCorrelate256Scalar(const double* weights, const double* log_p,
+                           double* lambda);
 
 // Elementwise SafeLog() of a probability vector (any size).
 std::vector<double> LogProbabilities(std::span<const double> probabilities);

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 namespace rc4b {
@@ -18,6 +20,44 @@ double ChooseQuantum(double deficit, size_t bins) {
 }
 
 }  // namespace
+
+double AddRepeated(double acc, double d, uint64_t count) {
+  assert(acc >= 0.0 && d >= 0.0);
+  constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
+  while (count > 0) {
+    const double next = acc + d;
+    --count;
+    if (next == acc) {
+      return acc;  // the state did not change, so no later addition does
+    }
+    // Both in one binade (same biased exponent, normal, finite): the step
+    // from acc to next, in ulps, is the step every later addition takes
+    // while the sum stays in the binade. It can differ only when d is an
+    // odd multiple of half an ulp (a tie) and the mantissa is odd; ties
+    // round to even, so from an even mantissa the step is again fixed.
+    const uint64_t a = std::bit_cast<uint64_t>(acc);
+    const uint64_t n = std::bit_cast<uint64_t>(next);
+    const uint64_t exp = n >> 52;
+    if (count > 0 && a >> 52 == exp && exp != 0 && exp != 0x7ff) {
+      const uint64_t db = std::bit_cast<uint64_t>(d);
+      const uint64_t d_exp = std::max<uint64_t>(db >> 52, 1);
+      const uint64_t d_man = (db & kMantissa) | (db >> 52 != 0 ? kMantissa + 1 : 0);
+      // d's lowest set bit is 2^(d_exp - 1075 + ctz), half an ulp of next
+      // is 2^(exp - 1076).
+      const bool tie =
+          d_exp + static_cast<uint64_t>(std::countr_zero(d_man)) + 1 == exp;
+      if (!tie || (a & 1) == 0) {
+        const uint64_t step = n - a;
+        const uint64_t k = std::min(count, ((n | kMantissa) - n) / step);
+        acc = std::bit_cast<double>(n + k * step);
+        count -= k;
+        continue;
+      }
+    }
+    acc = next;
+  }
+  return acc;
+}
 
 RankBracket IndependentRank(const SingleByteTables& tables,
                             std::span<const uint8_t> truth, size_t bins) {
@@ -41,9 +81,12 @@ RankBracket IndependentRank(const SingleByteTables& tables,
   dist[0] = 1.0;
   std::vector<double> next(bins + 1, 0.0);
   size_t truth_bin = 0;
+  // dist[b] == 0 for every b in [hi, bins); the row maximum has offset 0,
+  // so hi never shrinks.
+  size_t hi = 1;
   for (size_t r = 0; r < length; ++r) {
     const double row_max = *std::max_element(tables[r].begin(), tables[r].end());
-    // Per-value deficits in quanta.
+    // Per-value deficits in quanta, largest first.
     std::array<size_t, 256> offsets;
     for (size_t v = 0; v < 256; ++v) {
       const double deficit = (row_max - tables[r][v]) / quantum;
@@ -52,20 +95,42 @@ RankBracket IndependentRank(const SingleByteTables& tables,
                        : static_cast<size_t>(deficit);
     }
     truth_bin = std::min(truth_bin + offsets[truth[r]], bins);
+    std::sort(offsets.begin(), offsets.end(), std::greater<>());
+    // The convolution next[min(b + off, bins)] += dist[b] over all (b, v),
+    // summed per target bin in the order of the b-major loop: ascending b,
+    // one term per v. For a target nb < bins the terms come from
+    // b = nb - off, so visiting the offsets in descending order feeds every
+    // bin in ascending b; equal offsets add the equal value dist[b] back to
+    // back. Each offset is then one contiguous shifted add of the live
+    // prefix, and the bits match the b-major loop.
     std::fill(next.begin(), next.end(), 0.0);
-    for (size_t b = 0; b <= bins; ++b) {
-      if (dist[b] == 0.0) {
+    const double* src = dist.data();
+    size_t next_hi = 0;
+    for (const size_t off : offsets) {
+      if (off >= bins) {
         continue;
       }
-      if (b == bins) {
-        next[bins] += dist[b] * 256.0;
-        continue;
+      const size_t end = std::min(hi, bins - off);
+      double* dst = next.data() + off;
+      for (size_t b = 0; b < end; ++b) {
+        dst[b] += src[b];
       }
-      for (size_t v = 0; v < 256; ++v) {
-        const size_t nb = std::min(b + offsets[v], bins);
-        next[nb] += dist[b];
-      }
+      next_hi = std::max(next_hi, off + end);
     }
+    // The sticky overflow bin in the b-major order: for ascending b, dist[b]
+    // once per value with b + off >= bins, then the old overflow bin times
+    // 256.
+    // AddRepeated makes each run of equal additions cost O(binades crossed).
+    double overflow = 0.0;
+    size_t spilled = 0;  // offsets >= bins - b
+    for (size_t b = 0; b < hi; ++b) {
+      while (spilled < 256 && offsets[spilled] >= bins - b) {
+        ++spilled;
+      }
+      overflow = AddRepeated(overflow, dist[b], spilled);
+    }
+    next[bins] = overflow + dist[bins] * 256.0;
+    hi = next_hi;
     dist.swap(next);
   }
   RankBracket bracket;

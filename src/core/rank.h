@@ -28,6 +28,12 @@ struct RankBracket {
   double estimate() const { return 0.5 * (lower + upper); }
 };
 
+// The double that `count` successive additions `acc += d` leave, bit for
+// bit, for acc >= 0 and d >= 0; in O(binades crossed) steps rather than
+// O(count): inside one binade every addition adds the same number of ulps,
+// so a run of them is one exact integer step on the mantissa.
+double AddRepeated(double acc, double d, uint64_t count);
+
 // Rank of `truth` among all 256^L sequences under independent per-position
 // scores. `bins` trades accuracy for time (default suits 12-byte TKIP runs).
 RankBracket IndependentRank(const SingleByteTables& tables,

@@ -40,12 +40,15 @@ std::vector<uint64_t> SampleCiphertextPairCounts(
     std::span<const double> keystream_probs, uint8_t p1, uint8_t p2,
     uint64_t trials, Xoshiro256& rng) {
   assert(keystream_probs.size() == 65536);
-  const auto keystream_counts = SampleCounts(keystream_probs, trials, rng);
+  // The keystream pair (k1, k2) shows as the ciphertext pair
+  // (k1 ^ p1, k2 ^ p2); draws stay in SampleCounts' (k1, k2) order.
   std::vector<uint64_t> ciphertext_counts(65536);
+  const double n = static_cast<double>(trials);
   for (size_t k1 = 0; k1 < 256; ++k1) {
-    const size_t c1 = k1 ^ p1;
+    uint64_t* row = ciphertext_counts.data() + (k1 ^ p1) * 256;
+    const double* probs = keystream_probs.data() + k1 * 256;
     for (size_t k2 = 0; k2 < 256; ++k2) {
-      ciphertext_counts[c1 * 256 + (k2 ^ p2)] = keystream_counts[k1 * 256 + k2];
+      row[k2 ^ p2] = SamplePoisson(n * probs[k2], rng);
     }
   }
   return ciphertext_counts;

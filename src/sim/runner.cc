@@ -1,5 +1,8 @@
 #include "src/sim/runner.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "src/common/thread_pool.h"
 
 namespace rc4b::sim {
@@ -19,13 +22,19 @@ Xoshiro256 TrialRng(uint64_t seed, uint64_t trial) {
 
 void ForEachTrial(const TrialRunnerOptions& options,
                   const std::function<void(uint64_t, Xoshiro256&)>& fn) {
-  ParallelChunks(options.trials, options.workers,
-                 [&](unsigned, uint64_t begin, uint64_t end) {
-                   for (uint64_t trial = begin; trial < end; ++trial) {
-                     Xoshiro256 rng = TrialRng(options.seed, trial);
-                     fn(trial, rng);
-                   }
-                 });
+  // Workers claim the next trial from a shared counter, so one slow trial
+  // does not leave the rest of its chunk waiting while other workers idle.
+  // Which worker runs a trial never reaches its RNG or its result slot.
+  const unsigned workers = static_cast<unsigned>(std::min<uint64_t>(
+      options.workers == 0 ? DefaultWorkerCount() : options.workers,
+      std::max<uint64_t>(options.trials, 1)));
+  std::atomic<uint64_t> next_trial{0};
+  ParallelFor(workers, [&](unsigned) {
+    for (uint64_t trial = next_trial++; trial < options.trials; trial = next_trial++) {
+      Xoshiro256 rng = TrialRng(options.seed, trial);
+      fn(trial, rng);
+    }
+  });
 }
 
 }  // namespace rc4b::sim

@@ -40,8 +40,8 @@ uint64_t TrialSeed(uint64_t seed, uint64_t trial);
 // TrialSeed(seed, trial).
 Xoshiro256 TrialRng(uint64_t seed, uint64_t trial);
 
-// Runs fn(trial, rng) for every trial in [0, options.trials), sharded over
-// the thread pool in contiguous chunks. Each call receives a fresh
+// Runs fn(trial, rng) for every trial in [0, options.trials) on the thread
+// pool; each worker claims the next unclaimed trial. Each call receives a fresh
 // TrialRng(options.seed, trial); fn runs concurrently across trials and must
 // only write trial-local state (e.g. its slot of a results vector).
 void ForEachTrial(const TrialRunnerOptions& options,

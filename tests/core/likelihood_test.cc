@@ -238,9 +238,15 @@ TEST(LikelihoodTest, XorCorrelateIsBitIdenticalToTextbookLoop) {
     }
     std::vector<double> expected = lambda;
     ReferenceXorCorrelate(weights.data(), log_p.data(), expected.data());
+    // The dispatched kernel (AVX2 where the CPU has it) and the scalar
+    // fallback, each against the textbook loop.
+    std::vector<double> scalar = lambda;
     XorCorrelate256(weights.data(), log_p.data(), lambda.data());
+    XorCorrelate256Scalar(weights.data(), log_p.data(), scalar.data());
     ASSERT_EQ(std::memcmp(lambda.data(), expected.data(), 256 * sizeof(double)), 0)
-        << "trial " << trial << " fill " << fill;
+        << "dispatched, trial " << trial << " fill " << fill;
+    ASSERT_EQ(std::memcmp(scalar.data(), expected.data(), 256 * sizeof(double)), 0)
+        << "scalar, trial " << trial << " fill " << fill;
     for (double v : lambda) {
       ASSERT_FALSE(std::isnan(v)) << "trial " << trial;
     }

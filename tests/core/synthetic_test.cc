@@ -70,6 +70,33 @@ TEST(SampleCountsTest, BiasedCellElevated) {
   EXPECT_NEAR(static_cast<double>(counts[9]), expected, 6 * std::sqrt(expected));
 }
 
+TEST(SampleCountsTest, CiphertextPairCountsAreXorShiftedKeystreamDraws) {
+  // Same generator state, same draws: the ciphertext counts are exactly the
+  // keystream counts SampleCounts would draw, moved to (k1 ^ p1, k2 ^ p2).
+  Xoshiro256 table_rng(30);
+  std::vector<double> p(65536);
+  double sum = 0.0;
+  for (double& v : p) {
+    v = table_rng.UnitDouble() + 0.01;
+    sum += v;
+  }
+  for (double& v : p) {
+    v /= sum;
+  }
+  for (const uint64_t trials : {uint64_t{1} << 12, uint64_t{1} << 30}) {
+    const uint8_t p1 = 0x5a, p2 = 0xc3;
+    Xoshiro256 a(31), b(31);
+    const auto keystream = SampleCounts(p, trials, a);
+    const auto ciphertext = SampleCiphertextPairCounts(p, p1, p2, trials, b);
+    ASSERT_EQ(ciphertext.size(), 65536u);
+    for (size_t k = 0; k < 65536; ++k) {
+      const size_t c = ((k >> 8) ^ p1) * 256 + ((k & 0xff) ^ p2);
+      ASSERT_EQ(ciphertext[c], keystream[k]) << "trials " << trials << " k " << k;
+    }
+    EXPECT_EQ(a(), b()) << "the two samplers drew different amounts";
+  }
+}
+
 // The sampler must agree with exact real-RC4 simulation: compare the
 // distribution of FM-digraph ciphertext counts from (a) real RC4 long-term
 // keystream and (b) the synthetic sampler, via their likelihood decisions.
